@@ -151,8 +151,8 @@ struct ThroughputReport {
   double p99_us = 0.0;
 };
 
-/// One row of the batch-size sweep (BENCH_latency.json). batch == 1 is the
-/// scalar reference configuration.
+/// One row of the batch-size sweep (BENCH_latency.json): ops submitted in
+/// groups of `batch` same-kind requests.
 struct LatencyRow {
   unsigned batch = 1;
   double ops_per_sec = 0.0;

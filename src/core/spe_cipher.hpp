@@ -83,15 +83,16 @@ public:
   void encrypt_bytes(std::span<const std::uint8_t> plaintext,
                      std::span<std::uint8_t> ciphertext) const;
 
-  // --- batched fast path (SpecuBatch) --------------------------------------
-  // Bit-identical reformulation of encrypt_step / decrypt_step for the batch
-  // engine. The caller seeds a FastScratch once per unit operation; the
+  // --- fast steps (the SPECU's execution path) -----------------------------
+  // Bit-identical reformulation of encrypt_step / decrypt_step that Specu
+  // runs for every block. The caller seeds a FastScratch once per unit
+  // operation (from any state, so a resume mid-schedule works too); the
   // scratch carries an incremental per-cell digest cache (outside_digest
   // becomes an XOR delta instead of a full rescan) and a chain-prefix buffer
   // that turns the inverse pass's per-position chain replay into one O(n)
   // sweep. Steps run in place on the caller's storage — no per-step copies.
-  // The scalar path above stays the reference oracle; the differential suite
-  // (tests/core/batch_equivalence_test) pins fast == scalar byte-for-byte.
+  // The scalar steps above stay the paper-faithful reference;
+  // tests/core/specu_oracle_test pins Specu to them byte-for-byte.
   struct FastScratch {
     std::vector<std::uint64_t> cell_hash;     ///< mix64((level << 16) | i) per cell
     std::uint64_t all_fold = 0;               ///< XOR of cell_hash over all cells

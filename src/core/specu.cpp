@@ -34,6 +34,7 @@ bool Specu::power_on(const Tpm& tpm, std::uint64_t platform_measurement,
   ciphers_.clear();
   for (unsigned unit = 0; unit < memory_.config().units_per_block; ++unit)
     ciphers_.push_back(std::make_unique<SpeCipher>(*key, calibration_, poes_, unit));
+  scratch_.resize(ciphers_.size());
   // Key-schedule epoch: fold every unit's pulse sequence into one digest so
   // journal intents recorded now are bound to exactly these pulses.
   std::uint64_t e = kEpochInit;
@@ -99,13 +100,12 @@ void Specu::encrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block,
   IntentJournal& journal = memory_.journal();
   for (unsigned unit = progress / sched; unit < ciphers_.size(); ++unit) {
     const unsigned first = unit == progress / sched ? progress % sched : 0;
-    UnitLevels levels(block.levels.begin() + unit * cells,
-                      block.levels.begin() + (unit + 1) * cells);
+    const std::span<std::uint8_t> levels(block.levels.data() + unit * cells, cells);
+    cipher(unit).init_fast_scratch(levels, scratch_[unit]);
     for (unsigned s = first; s < sched; ++s) {
       // One PoE pulse, then the journal index — the array state between any
       // two advances is exactly what a power loss there would leave behind.
-      cipher(unit).encrypt_step(levels, s);
-      std::copy(levels.begin(), levels.end(), block.levels.begin() + unit * cells);
+      cipher(unit).encrypt_step_fast(levels, s, scratch_[unit]);
       journal.advance(addr);
     }
     ++stats_.encrypt_ops;
@@ -129,11 +129,10 @@ void Specu::decrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block) {
   // distinguish from garbage.
   begin_intent(addr, JournalOp::Decrypt, 0, pulses_per_block(), block.levels);
   for (unsigned unit = 0; unit < ciphers_.size(); ++unit) {
-    UnitLevels levels(block.levels.begin() + unit * cells,
-                      block.levels.begin() + (unit + 1) * cells);
+    const std::span<std::uint8_t> levels(block.levels.data() + unit * cells, cells);
+    cipher(unit).init_fast_scratch(levels, scratch_[unit]);
     for (unsigned s = sched; s-- > 0;) {
-      cipher(unit).decrypt_step(levels, s);
-      std::copy(levels.begin(), levels.end(), block.levels.begin() + unit * cells);
+      cipher(unit).decrypt_step_fast(levels, s, scratch_[unit]);
       journal.advance(addr);
     }
     ++stats_.decrypt_ops;

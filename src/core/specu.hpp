@@ -35,7 +35,6 @@ enum class SpeMode { Serial, Parallel };
 class Specu {
 public:
   /// Per-pulse ageing relative to a full write (Section 5.2 / wear module).
-  /// Shared with the batched fast path so both charge identical wear.
   static constexpr double kPulseWear = 0.02;
 
   /// Creates the control unit for `memory`. No key yet: reads/writes throw
@@ -151,17 +150,13 @@ public:
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
 private:
-  // The batched fast path (specu_batch.cpp) replicates the scalar read/write
-  // semantics — spans, journal intents, stats, wear, pending set — against
-  // the same private state; the differential suite keeps the two identical.
-  friend class SpecuBatch;
-
   [[nodiscard]] const SpeCipher& cipher(unsigned unit) const { return *ciphers_.at(unit); }
   [[nodiscard]] unsigned schedule_length() const;
   void begin_intent(std::uint64_t addr, JournalOp op, std::uint32_t progress,
                     std::uint32_t total, std::vector<std::uint8_t> pre_image = {});
-  /// Applies pulses [progress, pulses_per_block()) forward; commits the
-  /// open Encrypt intent. Caller must have begun the intent.
+  /// Applies pulses [progress, pulses_per_block()) forward, in place on the
+  /// block's levels through SpeCipher's fast steps; commits the open Encrypt
+  /// intent. Caller must have begun the intent.
   void encrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block,
                               std::uint32_t progress = 0);
   void decrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block);
@@ -171,6 +166,9 @@ private:
   std::vector<unsigned> poes_;
   std::shared_ptr<const CipherCalibration> calibration_;
   std::vector<std::unique_ptr<SpeCipher>> ciphers_;  ///< one per unit index
+  /// One fast-step scratch per unit, reused across blocks so the digest
+  /// cache and chain-prefix buffers are not reallocated per block.
+  std::vector<SpeCipher::FastScratch> scratch_;
   std::set<std::uint64_t> plaintext_;                ///< serial-mode pending set
   std::uint64_t epoch_ = 0;                          ///< key-schedule digest
   Stats stats_;

@@ -523,8 +523,6 @@ void MemoryService::fill_metrics(obs::MetricsRegistry& registry) const {
           snap.totals.injected_faults);
   counter("spe_slow_ops_total", "ops over ObsConfig::slow_op_threshold",
           snap.totals.slow_ops);
-  counter("spe_cipher_batched_total", "ops executed via the batched cipher fast path",
-          snap.totals.cipher_batched);
   counter("spe_trace_events_dropped_total", "trace events dropped by full rings",
           obs::Tracer::instance().dropped());
 

@@ -84,8 +84,8 @@ public:
                                                std::span<const std::uint8_t> data);
 
   /// Batch submits: one future per address, pushed in argument order (so a
-  /// shard's requests land back-to-back and its worker drains them as one
-  /// run through the batched cipher path — see ServiceConfig::batch_cipher).
+  /// shard's requests land back-to-back and its worker drains them in one
+  /// pass).
   /// `data` carries addrs.size() * block_bytes() bytes, block i at offset
   /// i * block_bytes(). Never throws mid-batch: an entry bounced by Reject
   /// backpressure (or a racing stop()) resolves its own future with the

@@ -195,15 +195,6 @@ struct ServiceConfig {
   bool scrub_enabled = true;
   unsigned scrub_blocks_per_pass = 8;
 
-  // --- batched cipher fast path (core::SpecuBatch, DESIGN.md §12) ---------
-  /// Drain-time batching: when a worker drains its queue, any run of at
-  /// least batch_min_size consecutive same-kind requests executes through
-  /// the SpecuBatch fast path (bit-identical to the scalar Specu path; the
-  /// differential suite in tests/core/batch_equivalence_test pins it).
-  /// Scalar stays the reference path for singles, recovery, and scavenging.
-  bool batch_cipher = true;
-  unsigned batch_min_size = 2;
-
   // --- PoE placement for non-8x8 shard crossbars (DESIGN.md §14) ----------
   /// Shards whose crossbar geometry is not the precomputed 8x8 default get
   /// their PoE set from core::poes_for_crossbar, which runs the placement

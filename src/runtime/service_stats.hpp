@@ -45,7 +45,6 @@ struct ShardCounters {
   std::atomic<std::uint64_t> blocks_scrubbed{0};       ///< scrub verifications run
 
   std::atomic<std::uint64_t> slow_ops{0};  ///< ops over ObsConfig::slow_op_threshold
-  std::atomic<std::uint64_t> cipher_batched{0};  ///< ops served by the batched fast path
 
   /// EWMA of one request's shard execution time (alpha = 1/8), maintained by
   /// the worker after every request. Load-shedding multiplies this by the
@@ -90,7 +89,6 @@ struct ShardStatsSnapshot {
   std::uint64_t blocks_remapped = 0;
   std::uint64_t blocks_scrubbed = 0;
   std::uint64_t slow_ops = 0;
-  std::uint64_t cipher_batched = 0;   ///< ops served by the batched fast path
   std::uint64_t injected_faults = 0;  ///< materialised by this shard's injector
   std::size_t quarantined_now = 0;    ///< blocks currently quarantined
   std::size_t plaintext_blocks = 0;  ///< SPE-serial exposure at snapshot time

@@ -67,6 +67,15 @@ std::optional<std::uint64_t> read_u64_opt(std::istream& in, const char* what) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
   return v;
 }
+
+void add_stats(core::Specu::Stats& total, const core::Specu::Stats& s) {
+  total.reads += s.reads;
+  total.writes += s.writes;
+  total.decrypt_ops += s.decrypt_ops;
+  total.encrypt_ops += s.encrypt_ops;
+  total.encrypt_pulses += s.encrypt_pulses;
+  total.decrypt_pulses += s.decrypt_pulses;
+}
 }  // namespace
 
 BankShard::BankShard(unsigned id, const ServiceConfig& config,
@@ -76,8 +85,7 @@ BankShard::BankShard(unsigned id, const ServiceConfig& config,
       queue_(id, config.queue_capacity, config.backpressure, config.coalesce_writes,
              counters_),
       memory_(shard_memory_config(id, config)),
-      specu_(memory_, config.mode, shard_poes(memory_, config)),
-      batch_(specu_) {
+      specu_(memory_, config.mode, shard_poes(memory_, config)) {
   if (fault_plan)
     injector_ = std::make_unique<fault::FaultInjector>(std::move(fault_plan),
                                                        memory_.device_id());
@@ -96,8 +104,7 @@ BankShard::BankShard(unsigned id, const ServiceConfig& config,
       queue_(id, config.queue_capacity, config.backpressure, config.coalesce_writes,
              counters_),
       memory_(std::move(state.image.nvmm)),
-      specu_(memory_, config.mode, shard_poes(memory_, config)),
-      batch_(specu_) {
+      specu_(memory_, config.mode, shard_poes(memory_, config)) {
   if (memory_.device_id() != config.device_seed_base + id)
     throw std::runtime_error(
         "shard state: device seed mismatch (checkpoint is for a different "
@@ -227,6 +234,10 @@ bool BankShard::power_on_tenants(const core::Tpm& tpm, std::uint64_t measurement
   }
   std::map<tenant::TenantId, const DomainRecord*> restored;
   for (const DomainRecord& rec : restored_domains_) restored[rec.tenant] = &rec;
+  for (auto& [tid, domain] : domains_) {
+    retire_specu_locked(domain.specu);
+    retire_specu_locked(domain.old_specu);
+  }
   domains_.clear();
   for (const tenant::TenantId tid : registry->ids()) {
     const auto rit = restored.find(tid);
@@ -245,7 +256,6 @@ bool BankShard::power_on_tenants(const core::Tpm& tpm, std::uint64_t measurement
     // this controller re-encrypts only what its tenant owns.
     domain.specu->retain_plaintext(
         [&](std::uint64_t addr) { return registry->owner_of(addr) == tid; });
-    domain.batch = std::make_unique<core::SpecuBatch>(*domain.specu);
     if (rec != nullptr && rec->old_active) {
       domain.old_key_epoch = rec->old_key_epoch;
       domain.old_specu = make_domain_specu();
@@ -309,7 +319,6 @@ std::uint64_t BankShard::begin_rotation(tenant::TenantId tenant, std::uint32_t n
   domain.old_specu->retain_plaintext([](std::uint64_t) { return false; });
   domain.old_key_epoch = domain.key_epoch;
   domain.specu = std::move(fresh);
-  domain.batch = std::make_unique<core::SpecuBatch>(*domain.specu);
   domain.key_epoch = new_epoch;
 
   domain.rotating.clear();
@@ -349,9 +358,15 @@ BankShard::Domain* BankShard::domain_of(std::uint64_t addr) {
 
 void BankShard::finish_rotation_locked(Domain& domain) {
   if (domain.old_specu && domain.rotating.empty()) {
-    domain.old_specu.reset();
+    retire_specu_locked(domain.old_specu);
     domain.old_key_epoch = 0;
   }
+}
+
+void BankShard::retire_specu_locked(std::unique_ptr<core::Specu>& specu) {
+  if (!specu) return;
+  add_stats(retired_stats_, specu->stats());
+  specu.reset();
 }
 
 std::optional<std::uint64_t> BankShard::rotation_drain_one_locked() {
@@ -542,7 +557,7 @@ bool BankShard::verify_block(std::uint64_t addr, core::Snvmm::Block& block,
   return false;
 }
 
-std::vector<std::uint8_t> BankShard::read_block_guarded(std::uint64_t addr, bool fast) {
+std::vector<std::uint8_t> BankShard::read_block_guarded(std::uint64_t addr) {
   if (const auto it = quarantined_.find(addr); it != quarantined_.end()) {
     if (it->second == QuarantineReason::Torn) throw TornBlockError(id_, addr);
     throw QuarantinedBlockError(id_, addr);
@@ -573,10 +588,8 @@ std::vector<std::uint8_t> BankShard::read_block_guarded(std::uint64_t addr, bool
       domain->specu->adopt_pending(addr);
       finish_rotation_locked(*domain);
     }
-  } else if (domain != nullptr) {
-    data = fast ? domain->batch->read_block(addr) : domain->specu->read_block(addr);
   } else {
-    data = fast ? batch_.read_block(addr) : specu_.read_block(addr);
+    data = (domain != nullptr ? *domain->specu : specu_).read_block(addr);
   }
   // The read changed the resting state (decrypted in serial mode,
   // re-encrypted in parallel mode); re-shadow it.
@@ -585,7 +598,7 @@ std::vector<std::uint8_t> BankShard::read_block_guarded(std::uint64_t addr, bool
 }
 
 void BankShard::write_block_guarded(std::uint64_t addr,
-                                    std::span<const std::uint8_t> data, bool fast) {
+                                    std::span<const std::uint8_t> data) {
   // Quota: a write that creates a block charges the owner's resident-block
   // budget before anything is programmed (the default domain never rejects,
   // it only counts).
@@ -617,10 +630,7 @@ void BankShard::write_block_guarded(std::uint64_t addr,
         obs::Tracer::instance().instant("ecc.retry", addr, attempt);
         backoff(attempt);
       }
-      if (fast)
-        (domain != nullptr ? *domain->batch : batch_).write_block(addr, data);
-      else
-        (domain != nullptr ? *domain->specu : specu_).write_block(addr, data);
+      (domain != nullptr ? *domain->specu : specu_).write_block(addr, data);
       core::Snvmm::Block& block = memory_.block(addr);
       if (config_.ecc_enabled) refresh_checks(addr);
       if (!injector_ || !injector_->enabled()) return;
@@ -650,25 +660,7 @@ void BankShard::write_block_guarded(std::uint64_t addr,
 void BankShard::execute_batch(std::vector<Request> batch) {
   std::lock_guard lock(state_mutex_);
   obs::ShardScope shard_scope(id_);
-  // Drain-time batching: runs of >= batch_min_size consecutive same-kind
-  // requests execute through the SpecuBatch fast path. Requests still run
-  // one at a time in FIFO order — coalescing, ECC guards, summaries and
-  // journal semantics are untouched; only the cipher math inside each op is
-  // the hoisted batch variant (bit-identical, per the differential suite).
-  std::vector<bool> use_fast(batch.size(), false);
-  if (config_.batch_cipher) {
-    const std::size_t min_run = std::max<std::size_t>(config_.batch_min_size, 1);
-    for (std::size_t i = 0; i < batch.size();) {
-      std::size_t j = i + 1;
-      while (j < batch.size() && batch[j].kind == batch[i].kind) ++j;
-      if (j - i >= min_run)
-        for (std::size_t k = i; k < j; ++k) use_fast[k] = true;
-      i = j;
-    }
-  }
-  for (std::size_t req_index = 0; req_index < batch.size(); ++req_index) {
-    Request& req = batch[req_index];
-    const bool fast = use_fast[req_index];
+  for (Request& req : batch) {
     // Summaries are built from counter deltas across the op, so the
     // baselines are only sampled when someone will read the result (a
     // traced submit or an armed slow-op threshold).
@@ -711,12 +703,11 @@ void BankShard::execute_batch(std::vector<Request> batch) {
         std::vector<std::uint8_t> data;
         {
           obs::Span span("shard.read", req.block_addr);
-          data = read_block_guarded(req.block_addr, fast);
+          data = read_block_guarded(req.block_addr);
         }
         const auto done = std::chrono::steady_clock::now();
         counters_.read_latency.record(done - req.enqueued);
         counters_.reads_completed.fetch_add(1, std::memory_order_relaxed);
-        if (fast) counters_.cipher_batched.fetch_add(1, std::memory_order_relaxed);
         if (want_summary) {
           OpSummary s = summarize(false, done);
           s.queue_ns = exec_start - req.enqueued;
@@ -731,12 +722,11 @@ void BankShard::execute_batch(std::vector<Request> batch) {
       try {
         {
           obs::Span span("shard.write", req.block_addr);
-          write_block_guarded(req.block_addr, req.data, fast);
+          write_block_guarded(req.block_addr, req.data);
         }
         const auto done = std::chrono::steady_clock::now();
         counters_.writes_completed.fetch_add(req.write_waiters.size(),
                                              std::memory_order_relaxed);
-        if (fast) counters_.cipher_batched.fetch_add(1, std::memory_order_relaxed);
         OpSummary s;
         if (want_summary) {
           s = summarize(true, done);
@@ -888,18 +878,11 @@ double BankShard::encrypted_fraction() const {
 }
 
 core::Specu::Stats BankShard::specu_stats_locked() const {
-  core::Specu::Stats total = specu_.stats();
-  const auto fold = [&total](const core::Specu::Stats& s) {
-    total.reads += s.reads;
-    total.writes += s.writes;
-    total.decrypt_ops += s.decrypt_ops;
-    total.encrypt_ops += s.encrypt_ops;
-    total.encrypt_pulses += s.encrypt_pulses;
-    total.decrypt_pulses += s.decrypt_pulses;
-  };
+  core::Specu::Stats total = retired_stats_;
+  add_stats(total, specu_.stats());
   for (const auto& [tid, domain] : domains_) {
-    if (domain.specu) fold(domain.specu->stats());
-    if (domain.old_specu) fold(domain.old_specu->stats());
+    if (domain.specu) add_stats(total, domain.specu->stats());
+    if (domain.old_specu) add_stats(total, domain.old_specu->stats());
   }
   return total;
 }

@@ -43,7 +43,6 @@
 #include "core/snvmm.hpp"
 #include "core/snvmm_io.hpp"
 #include "core/specu.hpp"
-#include "core/specu_batch.hpp"
 #include "core/tpm.hpp"
 #include "fault/fault_injector.hpp"
 #include "runtime/recovery.hpp"
@@ -88,10 +87,10 @@ public:
 
   /// Builds one key domain per registered tenant (ServiceConfig::tenants):
   /// a Specu powered under the tenant's synthetic TPM handle at its current
-  /// epoch, plus its batched fast path. Partitions the plaintext pending
-  /// sets by address ownership and, on the restore path, rebuilds in-flight
-  /// rotations from the checkpoint's rotation records. Call after power_on
-  /// and before recover(). No-op without a registry; false when any tenant
+  /// epoch. Partitions the plaintext pending sets by address ownership and,
+  /// on the restore path, rebuilds in-flight rotations from the
+  /// checkpoint's rotation records. Call after power_on and before
+  /// recover(). No-op without a registry; false when any tenant
   /// handshake fails.
   [[nodiscard]] bool power_on_tenants(const core::Tpm& tpm, std::uint64_t measurement);
 
@@ -176,13 +175,11 @@ public:
 
 private:
   /// One tenant's key domain on this shard: the current-epoch controller
-  /// (plus its batched fast path) and, while a rotation drains, the
-  /// previous-epoch controller that still reads the not-yet-re-encrypted
-  /// blocks listed in `rotating`. unique_ptr because Specu binds a reference
+  /// and, while a rotation drains, the previous-epoch controller that still
+  /// reads the not-yet-re-encrypted blocks listed in `rotating`. unique_ptr because Specu binds a reference
   /// to the shard's Snvmm and is re-created per epoch.
   struct Domain {
     std::unique_ptr<core::Specu> specu;        ///< current-epoch controller
-    std::unique_ptr<core::SpecuBatch> batch;   ///< fast path over specu
     std::unique_ptr<core::Specu> old_specu;    ///< previous epoch, while rotating
     std::uint32_t key_epoch = 0;
     std::uint32_t old_key_epoch = 0;
@@ -212,15 +209,10 @@ private:
   BankShard(unsigned id, const ServiceConfig& config,
             std::shared_ptr<const fault::FaultPlan> fault_plan, RestoredState state);
 
-  // All private helpers assume state_mutex_ is held. `fast` selects the
-  // batched cipher path (core::SpecuBatch) — bit-identical to scalar, chosen
-  // by execute_batch for runs of >= ServiceConfig::batch_min_size same-kind
-  // requests in one drain.
+  // All private helpers assume state_mutex_ is held.
   void save_state_locked(std::ostream& out) const;
-  [[nodiscard]] std::vector<std::uint8_t> read_block_guarded(std::uint64_t addr,
-                                                             bool fast);
-  void write_block_guarded(std::uint64_t addr, std::span<const std::uint8_t> data,
-                           bool fast);
+  [[nodiscard]] std::vector<std::uint8_t> read_block_guarded(std::uint64_t addr);
+  void write_block_guarded(std::uint64_t addr, std::span<const std::uint8_t> data);
   /// Sense + SEC-DED verify of a resident block against its shadow checks,
   /// with bounded re-sense retries. Returns false when uncorrectable (the
   /// caller quarantines); counts detected/corrected/retries.
@@ -241,6 +233,9 @@ private:
   std::optional<std::uint64_t> rotation_drain_one_locked();
   /// Drops the old-key controller once nothing rests under it any more.
   void finish_rotation_locked(Domain& domain);
+  /// Destroys a key-domain controller, folding its stats into
+  /// retired_stats_ so the exported cipher counters never go backwards.
+  void retire_specu_locked(std::unique_ptr<core::Specu>& specu);
   [[nodiscard]] core::Specu::Stats specu_stats_locked() const;
   /// Slow-op accounting for one executed request: counter, bounded ring,
   /// optional stderr line. Takes slow_mutex_ (not state_mutex_).
@@ -253,8 +248,8 @@ private:
   mutable std::mutex state_mutex_;  ///< guards memory_ + specu_ + resilience state
   core::Snvmm memory_;
   core::Specu specu_;
-  core::SpecuBatch batch_;  ///< fast path over specu_ (shares all its state)
   std::map<tenant::TenantId, Domain> domains_;  ///< per-tenant key domains
+  core::Specu::Stats retired_stats_;  ///< summed stats of destroyed controllers
   std::vector<DomainRecord> restored_domains_;  ///< consumed by power_on_tenants()
   std::unique_ptr<fault::FaultInjector> injector_;  ///< null = no injection
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> checks_;

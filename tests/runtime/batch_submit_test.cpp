@@ -1,4 +1,4 @@
-// Batch submit + batched-cipher dispatch semantics (DESIGN.md §12).
+// Batch submit semantics (DESIGN.md §12).
 //
 // The contracts under test:
 //   * submit_read_batch / submit_write_batch return one future per address,
@@ -8,10 +8,7 @@
 //   * Batch dispatch through the shard workers preserves per-block ordering:
 //     with a single submitter, a read of addr returns exactly the last
 //     version written to addr before the read was submitted, coalescing or
-//     not, fast path or scalar.
-//   * The batched cipher fast path (ServiceConfig::batch_cipher) engages on
-//     same-kind runs and is observable via the cipher_batched counter, and
-//     switching it off really keeps everything scalar.
+//     not, batch or single submits.
 //
 // The fuzz corpus tests are seeded and deterministic; the concurrent test is
 // the TSan target for this layer.
@@ -56,7 +53,6 @@ ServiceConfig batch_config() {
   cfg.worker_threads = 2;
   cfg.queue_capacity = 128;
   cfg.scavenger_interval = 200us;
-  cfg.batch_min_size = 1;  // every same-kind run takes the fast path
   return cfg;
 }
 
@@ -87,13 +83,6 @@ TEST(BatchSubmit, WriteBatchThenReadBatchRoundTrips) {
   ASSERT_EQ(reads.size(), addrs.size());
   for (std::size_t i = 0; i < addrs.size(); ++i)
     EXPECT_EQ(reads[i].get(), tagged_block(addrs[i], 5, service.block_bytes()));
-
-  // With batch_min_size=1 every drained run qualifies for the fast path.
-  const ServiceStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.totals.cipher_batched,
-            stats.totals.reads_completed + stats.totals.writes_completed -
-                stats.totals.writes_coalesced);
-  EXPECT_GT(stats.totals.cipher_batched, 0u);
 }
 
 TEST(BatchSubmit, EmptyBatchesReturnNoFutures) {
@@ -108,31 +97,6 @@ TEST(BatchSubmit, WriteBatchValidatesFlatBufferSize) {
   const std::vector<std::uint8_t> short_buf(2 * service.block_bytes());
   EXPECT_THROW((void)service.submit_write_batch(addrs, short_buf),
                std::invalid_argument);
-}
-
-TEST(BatchSubmit, DisablingBatchCipherKeepsEverythingScalar) {
-  ServiceConfig cfg = batch_config();
-  cfg.batch_cipher = false;
-  MemoryService service(cfg);
-  std::vector<std::uint64_t> addrs;
-  for (std::uint64_t a = 0; a < 16; ++a) addrs.push_back(a);
-  for (auto& f : service.submit_write_batch(
-           addrs, flatten(addrs, 1, service.block_bytes())))
-    f.get();
-  for (std::size_t i = 0; auto& f : service.submit_read_batch(addrs))
-    EXPECT_EQ(f.get(), tagged_block(addrs[i++], 1, service.block_bytes()));
-  EXPECT_EQ(service.stats().totals.cipher_batched, 0u);
-}
-
-TEST(BatchSubmit, MinRunThresholdLeavesShortRunsScalar) {
-  ServiceConfig cfg = batch_config();
-  cfg.batch_min_size = 64;  // far above anything a drain will see here
-  MemoryService service(cfg);
-  for (std::uint64_t addr = 0; addr < 8; ++addr) {
-    service.write(addr, tagged_block(addr, 2, service.block_bytes()));
-    EXPECT_EQ(service.read(addr), tagged_block(addr, 2, service.block_bytes()));
-  }
-  EXPECT_EQ(service.stats().totals.cipher_batched, 0u);
 }
 
 // Seeded fuzz corpus, single submitter: interleaved reads, writes and
@@ -211,10 +175,8 @@ TEST(BatchSubmit, FuzzCorpusPreservesPerBlockOrdering) {
           << "read " << i << " of block " << read_addrs[i].first
           << " (coalesce=" << coalesce << ")";
     }
-    const ServiceStatsSnapshot stats = service.stats();
-    EXPECT_GT(stats.totals.cipher_batched, 0u);
     if (coalesce) {
-      EXPECT_GT(stats.totals.writes_coalesced, 0u);
+      EXPECT_GT(service.stats().totals.writes_coalesced, 0u);
     }
   }
 }
@@ -290,8 +252,8 @@ TEST(BatchSubmit, BatchAfterStopResolvesEveryFutureStopped) {
   for (auto& f : writes) EXPECT_THROW(f.get(), ServiceStoppedError);
 }
 
-// The TSan target: concurrent batch submitters on overlapping blocks with
-// the fast path engaged. Every future settles, every read decrypts to a
+// The TSan target: concurrent batch submitters on overlapping blocks. Every
+// future settles, every read decrypts to a
 // well-formed payload written by someone.
 TEST(BatchSubmit, ConcurrentBatchSubmittersStayBitExact) {
   ServiceConfig cfg = batch_config();
@@ -325,7 +287,6 @@ TEST(BatchSubmit, ConcurrentBatchSubmittersStayBitExact) {
     });
   for (auto& t : clients) t.join();
   EXPECT_EQ(malformed.load(), 0u);
-  EXPECT_GT(service.stats().totals.cipher_batched, 0u);
 
   for (std::uint64_t addr = 0; addr < kBlocks; ++addr)
     EXPECT_TRUE(block_is_well_formed(service.read(addr))) << "block " << addr;

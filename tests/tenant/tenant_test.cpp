@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "runtime/memory_service.hpp"
 #include "tenant/registry.hpp"
 #include "tenant/token.hpp"
@@ -208,6 +209,36 @@ TEST(TenantRotation, SecondRotationChainsEpochs) {
   ASSERT_TRUE(drain_rotation(service, 1));
   for (std::uint64_t addr = 0; addr < 8; ++addr)
     EXPECT_EQ(service.read(addr), pattern(addr, bytes, 0)) << addr;
+  service.stop();
+}
+
+// A drained rotation retires the old-epoch controller. Its pulses stay in
+// the exported cipher counters: a counter never goes backwards.
+TEST(TenantRotation, DrainedRotationKeepsPulseCountersMonotonic) {
+  auto reg = std::make_shared<TenantRegistry>(
+      std::vector<TenantSpec>{make_spec(1, 0, 64)});
+  runtime::MemoryService service(rotation_config(reg));
+  const unsigned bytes = service.block_bytes();
+  for (std::uint64_t addr = 0; addr < 16; ++addr) {
+    service.write(addr, pattern(addr, bytes, 0));
+    EXPECT_EQ(service.read(addr), pattern(addr, bytes, 0)) << addr;
+  }
+  const auto pulses = [&] {
+    obs::MetricsRegistry registry;
+    service.fill_metrics(registry);
+    return registry.counter("spe_encrypt_pulses_total").value() +
+           registry.counter("spe_decrypt_pulses_total").value();
+  };
+  const std::uint64_t before = pulses();
+  ASSERT_GT(before, 0u);
+  const auto result = service.rotate_tenant_key(1);
+  ASSERT_TRUE(drain_rotation(service, 1));
+  const std::uint64_t after = pulses();
+  EXPECT_GE(after, before);
+  if (result.scheduled > 0) {
+    EXPECT_GT(after, before) << "the drain decrypts and re-encrypts "
+                             << result.scheduled << " blocks";
+  }
   service.stop();
 }
 
