@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "device/cell.hpp"
+#include "util/single_flight.hpp"
 
 namespace spe::core {
 
@@ -95,23 +94,26 @@ CipherCalibration::LevelPerm shift_bijection(
 
 }  // namespace
 
+double CipherCalibration::tier_voltage(const device::Pulse& pulse, unsigned tier) const {
+  // Tier voltage share: the PoE sees (almost) the full drive; arms see the
+  // calibrated mean sneak share. Clamp to at least Vt so covered cells
+  // always move (they were selected by the Vt cut).
+  const double share = tier == 0 ? std::abs(attenuation_[0])
+                                 : std::max(std::abs(attenuation_[tier]),
+                                            params_.transistor.v_threshold);
+  return (pulse.voltage >= 0 ? 1.0 : -1.0) * share;
+}
+
 void CipherCalibration::build_perms() {
   const device::MlcCodec codec(params_.team);
   const unsigned codes = library_.size();
   perms_.resize(static_cast<std::size_t>(codes) * kTiers);
   inv_perms_.resize(perms_.size());
-  decrypt_widths_.assign(perms_.size(), 0.0);
 
   for (unsigned code = 0; code < codes; ++code) {
     const device::Pulse& pulse = library_.pulse(code);
     for (unsigned tier = 0; tier < kTiers; ++tier) {
-      // Tier voltage share: the PoE sees (almost) the full drive; arms see
-      // the calibrated mean sneak share. Clamp to at least Vt so covered
-      // cells always move (they were selected by the Vt cut).
-      const double share = tier == 0 ? std::abs(attenuation_[0])
-                                     : std::max(std::abs(attenuation_[tier]),
-                                                params_.transistor.v_threshold);
-      const double v_eff = (pulse.voltage >= 0 ? 1.0 : -1.0) * share;
+      const double v_eff = tier_voltage(pulse, tier);
 
       std::array<int, kLevels> target{};
       for (unsigned level = 0; level < kLevels; ++level) {
@@ -126,15 +128,6 @@ void CipherCalibration::build_perms() {
       const std::size_t slot = static_cast<std::size_t>(code) * kTiers + tier;
       perms_[slot] = perm;
       inv_perms_[slot] = inv;
-
-      // Physical decrypt width from the band-1 centre representative.
-      device::Cell rep(params_.team, params_.transistor,
-                       codec.state_for_symbol(1));
-      rep.set_gate(true);
-      const double start = rep.memristor().state();
-      rep.apply_cell_voltage(v_eff, pulse.width);
-      decrypt_widths_[slot] =
-          device::find_inverse_pulse_width(rep, -v_eff, start);
     }
   }
 }
@@ -164,21 +157,24 @@ const CipherCalibration::LevelPerm& CipherCalibration::inv_perm(unsigned pulse_c
 }
 
 double CipherCalibration::decrypt_width(unsigned pulse_code, unsigned tier) const {
-  const std::size_t slot = static_cast<std::size_t>(pulse_code) * kTiers + tier;
-  if (slot >= decrypt_widths_.size()) throw std::out_of_range("CipherCalibration::decrypt_width");
-  return decrypt_widths_[slot];
+  if (pulse_code >= library_.size() || tier >= kTiers)
+    throw std::out_of_range("CipherCalibration::decrypt_width");
+  // Physical decrypt width from the band-1 centre representative.
+  const device::MlcCodec codec(params_.team);
+  const device::Pulse& pulse = library_.pulse(pulse_code);
+  const double v_eff = tier_voltage(pulse, tier);
+  device::Cell rep(params_.team, params_.transistor, codec.state_for_symbol(1));
+  rep.set_gate(true);
+  const double start = rep.memristor().state();
+  rep.apply_cell_voltage(v_eff, pulse.width);
+  return device::find_inverse_pulse_width(rep, -v_eff, start);
 }
 
 std::shared_ptr<const CipherCalibration> get_calibration(const xbar::CrossbarParams& params) {
-  static std::mutex mutex;
-  static std::map<DeviceFingerprint, std::shared_ptr<const CipherCalibration>> cache;
-  const DeviceFingerprint fp = fingerprint_of(params);
-  std::scoped_lock lock(mutex);
-  auto it = cache.find(fp);
-  if (it != cache.end()) return it->second;
-  auto cal = std::make_shared<const CipherCalibration>(params);
-  cache.emplace(fp, cal);
-  return cal;
+  static util::SingleFlightCache<DeviceFingerprint, std::shared_ptr<const CipherCalibration>>
+      cache;
+  return cache.get(fingerprint_of(params),
+                   [&] { return std::make_shared<const CipherCalibration>(params); });
 }
 
 }  // namespace spe::core

@@ -15,10 +15,11 @@
 //    (saturating), so the behavioural bijection is the cyclic shift by the
 //    mean integrated displacement — exact to invert, physics-scaled, with
 //    wrap-around standing in for write-verify recycling of saturated cells.
-//  * Decrypt pulse widths: for every (pulse code, tier), the width of the
-//    opposite-polarity pulse that undoes the encryption pulse from the
-//    band-centre state (the Fig. 5 hysteresis LUT used by a physical
-//    SPECU; the behavioural cipher inverts its tables exactly instead).
+//  * Decrypt pulse widths (on demand, not tabulated): for a (pulse code,
+//    tier), the width of the opposite-polarity pulse that undoes the
+//    encryption pulse from the band-centre state (the Fig. 5 hysteresis LUT
+//    used by a physical SPECU; the behavioural cipher inverts its tables
+//    exactly instead, so the serving path never asks).
 //
 // Everything is a deterministic function of the crossbar parameters, so two
 // devices share tables iff they share physics — the device-binding property.
@@ -64,7 +65,8 @@ public:
   [[nodiscard]] const LevelPerm& inv_perm(unsigned pulse_code, unsigned tier) const;
 
   /// Physical decrypt width [s] for the inverse of (pulse_code, tier) from
-  /// the band-centre representative state (Fig. 5 LUT).
+  /// the band-centre representative state (Fig. 5 LUT). Runs the inverse
+  /// width search on each call.
   [[nodiscard]] double decrypt_width(unsigned pulse_code, unsigned tier) const;
 
   /// Number of cells in the crossbar (rows * cols).
@@ -73,6 +75,8 @@ public:
 private:
   void extract_shapes();
   void build_perms();
+  /// Signed voltage a covered cell of `tier` sees under `pulse`.
+  [[nodiscard]] double tier_voltage(const device::Pulse& pulse, unsigned tier) const;
 
   xbar::CrossbarParams params_;
   device::PulseLibrary library_;
@@ -81,12 +85,16 @@ private:
   std::array<double, kTiers> attenuation_{};  // mean |V| per tier
   std::vector<LevelPerm> perms_;              // [code * kTiers + tier]
   std::vector<LevelPerm> inv_perms_;
-  std::vector<double> decrypt_widths_;        // [code * kTiers + tier]
 };
 
-/// Calibrations are deterministic in the parameters; this cache avoids
-/// rebuilding them for every cipher instance (the hardware-avalanche data
-/// set sweeps many parameter sets).
+/// Calibrations are deterministic in the parameters; this process-wide cache
+/// builds each device fingerprint's calibration once, however many cipher
+/// instances ask (the hardware-avalanche data set sweeps many parameter
+/// sets; every service shard is its own device). Thread-safe and
+/// single-flight: builds for different fingerprints run in parallel without
+/// holding a lock, concurrent callers for one fingerprint wait for its one
+/// build and share the result, and a build that throws is not cached (its
+/// waiters rethrow, the next caller retries).
 [[nodiscard]] std::shared_ptr<const CipherCalibration> get_calibration(
     const xbar::CrossbarParams& params);
 

@@ -1,12 +1,11 @@
 #include "core/lut.hpp"
 
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 
 #include "ilp/poe_placement.hpp"
+#include "util/single_flight.hpp"
 
 namespace spe::core {
 
@@ -35,33 +34,24 @@ std::vector<unsigned> poes_for_crossbar(unsigned rows, unsigned cols, std::uint6
     throw std::invalid_argument("poes_for_crossbar: empty crossbar");
 
   using Key = std::tuple<unsigned, unsigned, std::uint64_t>;
-  static std::mutex mutex;
-  static std::map<Key, std::vector<unsigned>> cache;
-
-  const Key key{rows, cols, seed};
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (const auto it = cache.find(key); it != cache.end()) return it->second;
-  }
-
-  // Solve outside the lock (seconds-scale for big crossbars); a racing
-  // duplicate solve is deterministic per seed, so last-write-wins is safe.
-  ilp::PortfolioOptions options;
-  options.base.seed = seed;
-  options.base.time_limit_ms = time_limit_ms;
-  // Bounded exact-search budget (same cap as bench/placement_frontier):
-  // with the 50M-node default a 16x16 service construction would burn ~10
-  // minutes proving nothing before the heuristics get a turn.
-  options.base.node_limit = 200'000;
-  const unsigned cells = rows * cols;
-  const auto placement =
-      ilp::solve_min_poes_portfolio(rows, cols, cells / 16, options);
-  if (!placement.feasible)
-    throw std::runtime_error("poes_for_crossbar: no feasible PoE placement for " +
-                             std::to_string(rows) + "x" + std::to_string(cols));
-
-  std::lock_guard<std::mutex> lock(mutex);
-  return cache.emplace(key, placement.poes).first->second;
+  static util::SingleFlightCache<Key, std::vector<unsigned>> cache;
+  // Solved outside any lock (seconds-scale for big crossbars); concurrent
+  // shards of one geometry wait for the one solve instead of repeating it.
+  return cache.get(Key{rows, cols, seed}, [&] {
+    ilp::PortfolioOptions options;
+    options.base.seed = seed;
+    options.base.time_limit_ms = time_limit_ms;
+    // Bounded exact-search budget (same cap as bench/placement_frontier):
+    // with the 50M-node default a 16x16 service construction would burn ~10
+    // minutes proving nothing before the heuristics get a turn.
+    options.base.node_limit = 200'000;
+    const unsigned cells = rows * cols;
+    const auto placement = ilp::solve_min_poes_portfolio(rows, cols, cells / 16, options);
+    if (!placement.feasible)
+      throw std::runtime_error("poes_for_crossbar: no feasible PoE placement for " +
+                               std::to_string(rows) + "x" + std::to_string(cols));
+    return placement.poes;
+  });
 }
 
 AddressLut::AddressLut(std::vector<unsigned> poe_cells, unsigned rows, unsigned cols)

@@ -23,7 +23,8 @@ namespace spe::core {
 /// precomputed default table; anything else is solved on first use through
 /// the placement solver portfolio (ilp/placement_solver.hpp, minimum-count
 /// model, security margin S = cells/16) and memoised process-wide, so the
-/// ILP runs once per (rows, cols, seed) no matter how many shards spin up.
+/// ILP runs once per (rows, cols, seed) no matter how many shards spin up
+/// (concurrent callers wait for the one solve; a failed solve is not cached).
 /// `seed` drives the heuristic backends (same seed => same placement on
 /// every host); `time_limit_ms` caps each portfolio member (0 = work-based
 /// budgets only, the deterministic mode). Throws std::runtime_error when no

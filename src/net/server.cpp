@@ -611,8 +611,6 @@ void Server::completion_loop(CompletionLane& lane) {
     if (pending.admitted)
       if (tenant::TenantRegistry* reg = service_.config().tenants.get())
         reg->release_inflight(pending.tenant);
-    counters_.requests_completed.fetch_add(1, std::memory_order_relaxed);
-    counters_.request_latency.record(Clock::now() - pending.received);
     pending.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
     if (pending_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard lock(drain_mutex_);  // pairs with the stop() waiter
@@ -658,7 +656,7 @@ void Server::finish_pending(Pending& pending) {
         // legitimately outlive request_timeout).
         response = cluster_->slow_path(std::move(pending.handler_frame));
         response.version = pending.version;
-        deliver(pending.conn, response);
+        deliver(pending, response);
         return;
       case Pending::Kind::Read: {
         if (has_deadline &&
@@ -734,7 +732,7 @@ void Server::finish_pending(Pending& pending) {
                                    e.what());
   }
   response.version = pending.version;
-  deliver(pending.conn, response);
+  deliver(pending, response);
 }
 
 bool Server::append_response(const std::shared_ptr<Conn>& conn,
@@ -804,7 +802,14 @@ void Server::respond_now(const std::shared_ptr<Conn>& conn, const Frame& frame) 
   flush(conn);
 }
 
-void Server::deliver(const std::shared_ptr<Conn>& conn, const Frame& frame) {
+void Server::count_completed(const Pending& pending) {
+  counters_.requests_completed.fetch_add(1, std::memory_order_relaxed);
+  counters_.request_latency.record(Clock::now() - pending.received);
+}
+
+void Server::deliver(const Pending& pending, const Frame& frame) {
+  count_completed(pending);
+  const std::shared_ptr<Conn>& conn = pending.conn;
   if (conn->dead.load(std::memory_order_acquire)) return;
   if (!append_response(conn, frame.version, frame.opcode, frame.status,
                        frame.request_id, frame.payload, /*may_block=*/true))
@@ -818,6 +823,7 @@ void Server::deliver(const std::shared_ptr<Conn>& conn, const Frame& frame) {
 
 void Server::deliver_direct(const Pending& pending, Opcode opcode,
                             std::span<const std::uint8_t> payload) {
+  count_completed(pending);
   const std::shared_ptr<Conn>& conn = pending.conn;
   if (conn->dead.load(std::memory_order_acquire)) return;
   if (!append_response(conn, pending.version, opcode, Status::Ok,

@@ -140,8 +140,8 @@ struct ServerCountersSnapshot {
   std::uint64_t busy_shed = 0;        ///< deadline-aware Busy rejections
   std::uint64_t stalled_closed = 0;   ///< output-stall / buffer-cap evictions
   std::uint64_t drain_aborted = 0;    ///< in-flight ops failed typed at drain expiry
-  std::uint64_t requests_completed = 0;  ///< responses encoded (any status)
-  runtime::LatencyHistogram::Snapshot request_latency;  ///< frame rx -> response encoded
+  std::uint64_t requests_completed = 0;  ///< responses settled (any status)
+  runtime::LatencyHistogram::Snapshot request_latency;  ///< frame rx -> response settled
 };
 
 class Server {
@@ -271,8 +271,12 @@ private:
   void enqueue_pending(const std::shared_ptr<Conn>& conn, Pending&& pending);
   /// Event-loop side: enqueue a response and try to flush immediately.
   void respond_now(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  /// Counts a settled request and records its latency. Both deliver paths
+  /// call it before the response reaches the connection, so a client that
+  /// holds its response always finds the request counted.
+  void count_completed(const Pending& pending);
   /// Completion-thread side: enqueue a response and wake the event loop.
-  void deliver(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  void deliver(const Pending& pending, const Frame& frame);
   /// Completion-thread side, zero-copy: encode an Ok response with this
   /// payload straight into the connection's output buffer and wake the
   /// event loop (no intermediate Frame).

@@ -1,13 +1,17 @@
 #include "runtime/memory_service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "core/key.hpp"
 #include "obs/trace.hpp"
@@ -32,6 +36,39 @@ ServiceConfig normalized(ServiceConfig config) {
   if (config.worker_threads == 0) config.worker_threads = 1;
   if (config.worker_threads > config.shards) config.worker_threads = config.shards;
   return config;
+}
+
+// Builds shards 0..count-1 with make(id) on min(count, hardware threads)
+// short-lived threads. Construction is dominated by each shard device's
+// calibration (a CPU-bound physics solve per device), so distinct devices
+// build in parallel; the result is indexed by shard id, identical to a
+// serial build. Builders claim ids from a counter and stop claiming after
+// the first failure, which is rethrown once every builder has joined.
+template <typename Make>
+std::vector<std::unique_ptr<BankShard>> build_shards(unsigned count, Make make) {
+  std::vector<std::unique_ptr<BankShard>> shards(count);
+  std::atomic<unsigned> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // guarded by error_mutex
+  const auto builder = [&] {
+    for (unsigned s; (s = next.fetch_add(1)) < count;) {
+      try {
+        shards[s] = make(s);
+      } catch (...) {
+        next.store(count);
+        std::lock_guard lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  {
+    // jthreads join on destruction, also when starting a later one throws.
+    std::vector<std::jthread> pool;
+    const unsigned threads = std::min(count, std::max(1u, std::thread::hardware_concurrency()));
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(builder);
+  }
+  if (error) std::rethrow_exception(error);
+  return shards;
 }
 
 // One plan shared by every shard: decisions are keyed by (device id,
@@ -64,9 +101,9 @@ std::uint64_t read_u64(std::istream& in, const char* what) {
 
 MemoryService::MemoryService(ServiceConfig config) : config_(normalized(config)) {
   const auto plan = make_plan(config_);
-  shards_.reserve(config_.shards);
-  for (unsigned s = 0; s < config_.shards; ++s)
-    shards_.push_back(std::make_unique<BankShard>(s, config_, plan));
+  shards_ = build_shards(config_.shards, [&](unsigned s) {
+    return std::make_unique<BankShard>(s, config_, plan);
+  });
   provision_and_power();
   start_threads();
 }
@@ -95,17 +132,20 @@ void MemoryService::init_from_checkpoint(std::istream& checkpoint) {
                              std::to_string(shard_count) + ", config wants " +
                              std::to_string(config_.shards) + ")");
 
-  const auto plan = make_plan(config_);
-  shards_.reserve(config_.shards);
-  for (unsigned s = 0; s < config_.shards; ++s) {
+  // The stream is read in order; the shards are then built in parallel.
+  std::vector<std::string> blobs(config_.shards);
+  for (std::string& blob : blobs) {
     const std::uint64_t length = read_u64(checkpoint, "shard blob length");
-    std::string blob(length, '\0');
+    blob.resize(length);
     checkpoint.read(blob.data(), static_cast<std::streamsize>(length));
     if (static_cast<std::uint64_t>(checkpoint.gcount()) != length)
       throw std::runtime_error("service checkpoint: truncated while reading shard blob");
-    std::istringstream in(blob);
-    shards_.push_back(std::make_unique<BankShard>(s, config_, plan, in));
   }
+  const auto plan = make_plan(config_);
+  shards_ = build_shards(config_.shards, [&](unsigned s) {
+    std::istringstream in(std::move(blobs[s]));
+    return std::make_unique<BankShard>(s, config_, plan, in);
+  });
   provision_and_power();
   // Journal recovery before any worker can touch the shards: replay or roll
   // back what the crash caught mid-flight, quarantine what is torn.

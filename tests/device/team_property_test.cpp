@@ -16,6 +16,10 @@ struct Corner {
   double i_scale;
 };
 
+// gtest's default printer dumps the raw bytes, which include the `name`
+// pointer; under ASLR that made every discovered CTest name differ per run.
+void PrintTo(const Corner& c, std::ostream* os) { *os << c.name; }
+
 class TeamProperty : public ::testing::TestWithParam<Corner> {
 protected:
   TeamParams params() const {
