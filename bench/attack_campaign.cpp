@@ -70,7 +70,7 @@ struct CampaignResult {
   std::uint64_t probes = 0;
   std::uint64_t denied = 0;           ///< typed AccessDenied answers
   std::uint64_t quota_denied = 0;     ///< typed QuotaExceeded answers
-  std::uint64_t bad_request = 0;      ///< typed BadRequest answers (pre-v4 admin)
+  std::uint64_t bad_request = 0;      ///< typed BadRequest answers (tokenless admin)
   std::uint64_t unexpected = 0;       ///< wrong status / untyped error (must be 0)
   std::uint64_t recovered_bits = 0;   ///< plaintext bits leaked to the attacker
   std::uint64_t brute_hits = 0;       ///< stolen-array key trials that decrypt
@@ -265,8 +265,8 @@ int main() {
               static_cast<unsigned long long>(r.quota_denied));
 
   // --- scenario D: admin-op escalation -------------------------------------
-  // Scrub and cross-tenant rotation are denied; a tokenless (pre-v4 style)
-  // rotation cannot even be authorized.
+  // Scrub and cross-tenant rotation are denied; a tokenless rotation cannot
+  // even be authorized.
   expect_denied(attacker, spe::net::make_scrub_request(0), Status::AccessDenied,
                 r, &r.denied);
   expect_denied(attacker, spe::net::make_rotate_request(0, kVictim),

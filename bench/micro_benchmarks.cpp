@@ -5,7 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/datasets.hpp"
-#include "crypto/cipher.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/stream_cipher.hpp"
 #include "ilp/poe_placement.hpp"
 #include "nist/suite.hpp"
 #include "sim/system.hpp"

@@ -277,23 +277,4 @@ ClusterClient::Stats ClusterClient::stats() const {
   return out;
 }
 
-void ClusterClient::fill_metrics(obs::MetricsRegistry& registry) const {
-  const Stats s = stats();
-  const auto counter = [&registry](const std::string& name, const std::string& help,
-                                   std::uint64_t v) { registry.counter(name, help).add(v); };
-  counter("spe_cluster_client_moved_redirects_total", "MOVED bounces chased", s.moved_redirects);
-  counter("spe_cluster_client_failovers_total", "unreachable-owner reroutes", s.failovers);
-  counter("spe_cluster_client_topology_refreshes_total", "topology re-fetches",
-          s.topology_refreshes);
-  counter("spe_cluster_client_retries_total", "transient-failure re-attempts", s.retries);
-  counter("spe_cluster_client_busy_backoffs_total", "BUSY sheds honoured", s.busy_backoffs);
-  counter("spe_cluster_client_breaker_trips_total", "circuit breaker trips", s.breaker_trips);
-  counter("spe_cluster_client_breaker_skips_total", "fail-fast skips on open breakers",
-          s.breaker_skips);
-  counter("spe_cluster_client_deadline_exceeded_total", "ops out of deadline budget",
-          s.deadline_exceeded);
-  counter("spe_cluster_client_ambiguous_results_total",
-          "writes with unknown outcome at deadline", s.ambiguous_results);
-}
-
 }  // namespace spe::cluster

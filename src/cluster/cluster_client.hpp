@@ -26,8 +26,9 @@
 //                        re-admit it once it recovers.
 //   deadline retries     ClusterClientConfig::op_deadline bounds the WHOLE
 //                        operation (every attempt, every backoff). The
-//                        remaining budget rides each wire-v3 frame so the
-//                        server can shed work it cannot finish in time, and
+//                        remaining budget rides each frame's deadline
+//                        extension so the server can shed work it cannot
+//                        finish in time, and
 //                        caps each attempt's socket deadline. Exhaustion
 //                        surfaces typed: DeadlineExceededError for reads /
 //                        never-sent writes, AmbiguousResultError for a write
@@ -68,8 +69,8 @@ struct ClusterClientConfig {
 
   /// End-to-end budget for one read_block/write_block, spanning every
   /// attempt, redirect, and backoff. 0 = unbounded (legacy behaviour). When
-  /// set, the remaining budget is encoded on each request frame (wire v3
-  /// deadline extension) and caps each attempt's socket I/O deadline.
+  /// set, the remaining budget is encoded on each request frame (deadline
+  /// extension) and caps each attempt's socket I/O deadline.
   std::chrono::milliseconds op_deadline{0};
   /// Backoff schedule for transient-failure retries (unreachable node,
   /// dropped connection, BUSY shed). Deterministic per (jitter_seed,
@@ -118,10 +119,6 @@ public:
   /// Snapshot (breaker_trips is summed over the per-endpoint breakers at
   /// call time; everything else accumulates inline).
   [[nodiscard]] Stats stats() const;
-
-  /// Registers the spe_cluster_client_* counters into `registry` (loadgen's
-  /// summary and the chaos campaign report both pull from this).
-  void fill_metrics(obs::MetricsRegistry& registry) const;
 
   /// Direct access to the pooled connection for `node` (admin plane: freeze
   /// / pull / unfreeze RPCs go to specific nodes, not ring owners).

@@ -101,7 +101,6 @@ net::ClusterHandler::Verdict ClusterCoordinator::fast_path(const Frame& request,
       counters_.moved_bounced.fetch_add(1, std::memory_order_relaxed);
       response = net::make_moved_response(request.opcode, request.request_id,
                                           encode_node(route.owner));
-      response.version = request.version;
       return Verdict::Respond;
     }
     case Opcode::Topology:
@@ -113,7 +112,6 @@ net::ClusterHandler::Verdict ClusterCoordinator::fast_path(const Frame& request,
           bytes = encode_topology(topology_);
         }
         response = net::make_topology_response(request.request_id, bytes);
-        response.version = request.version;
         return Verdict::Respond;
       }
       return Verdict::Defer;  // propose: journals an ADOPT (fsync)
@@ -141,7 +139,6 @@ Frame ClusterCoordinator::slow_path(Frame&& request) {
                                           "opcode is not deferrable");
       break;
   }
-  response.version = request.version;
   return response;
 }
 

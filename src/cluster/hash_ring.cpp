@@ -46,13 +46,6 @@ bool HashRing::contains(const std::string& name) const {
                      [&](const auto& nw) { return nw.first == name; });
 }
 
-std::vector<std::string> HashRing::nodes() const {
-  std::vector<std::string> names;
-  names.reserve(nodes_.size());
-  for (const auto& [n, w] : nodes_) names.push_back(n);
-  return names;
-}
-
 void HashRing::rebuild() {
   points_.clear();
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {

@@ -38,7 +38,6 @@ public:
 
   [[nodiscard]] bool contains(const std::string& name) const;
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] std::vector<std::string> nodes() const;
 
   /// The node owning `block_addr` — the first ring point at or clockwise of
   /// mix64(addr). Throws std::logic_error on an empty ring (no weighted

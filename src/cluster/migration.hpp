@@ -54,7 +54,7 @@ namespace spe::cluster {
 
 inline constexpr std::size_t kMaxMigrateAddrs = std::size_t{1} << 16;
 
-/// Wire payload of a MIGRATE_RANGE request (v2).
+/// Wire payload of a MIGRATE_RANGE request.
 struct MigrateSpec {
   enum class Mode : std::uint8_t {
     Freeze = 1,    ///< to the source: freeze addrs, bounce MOVED(peer)

@@ -9,7 +9,7 @@
 // node; a node adopts a proposed topology iff its epoch is strictly newer
 // than what it holds.
 //
-// The byte codecs here produce the payloads the v2 wire opcodes carry
+// The byte codecs here produce the payloads the cluster wire opcodes carry
 // (TOPOLOGY requests/responses and the MOVED status payload). They are
 // length-checked and bounded — a malformed payload returns false, never
 // throws or reads out of bounds — because they sit on the same trust
@@ -55,7 +55,7 @@ struct ClusterTopology {
   [[nodiscard]] bool operator==(const ClusterTopology&) const = default;
 };
 
-// --- byte codecs (v2 wire payloads) ----------------------------------------
+// --- byte codecs (cluster wire payloads) -----------------------------------
 
 void append_node(std::vector<std::uint8_t>& out, const NodeInfo& node);
 [[nodiscard]] std::vector<std::uint8_t> encode_node(const NodeInfo& node);

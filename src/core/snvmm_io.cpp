@@ -238,10 +238,4 @@ ImageLoadResult load_image_checked(std::istream& in) {
   return load_image_impl(in, /*strict=*/false);
 }
 
-ImageLoadResult load_image_checked_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("snvmm image: cannot open " + path);
-  return load_image_checked(in);
-}
-
 }  // namespace spe::core

@@ -53,6 +53,5 @@ struct ImageLoadResult {
   std::vector<std::uint64_t> corrupt_blocks;  ///< addresses failing their CRC
 };
 [[nodiscard]] ImageLoadResult load_image_checked(std::istream& in);
-[[nodiscard]] ImageLoadResult load_image_checked_file(const std::string& path);
 
 }  // namespace spe::core

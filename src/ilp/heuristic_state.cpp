@@ -55,14 +55,6 @@ void IncrementalEval::reset() {
   }
 }
 
-void IncrementalEval::set_from(const std::vector<std::uint8_t>& x) {
-  if (x.size() != model_.num_vars())
-    throw std::invalid_argument("IncrementalEval::set_from: size mismatch");
-  reset();
-  for (unsigned v = 0; v < x.size(); ++v)
-    if (x[v]) flip(v);
-}
-
 double IncrementalEval::flip_violation_delta(unsigned v) const {
   const double dir = x_[v] ? -1.0 : 1.0;
   const auto& cons = model_.constraints();

@@ -62,9 +62,6 @@ public:
   /// Resets to the all-zeros assignment.
   void reset();
 
-  /// Loads a full assignment (size must be num_vars).
-  void set_from(const std::vector<std::uint8_t>& x);
-
   [[nodiscard]] const std::vector<std::uint8_t>& values() const noexcept { return x_; }
   [[nodiscard]] double violation() const noexcept { return violation_; }
   [[nodiscard]] bool feasible() const noexcept { return violation_ <= kHeurEps; }

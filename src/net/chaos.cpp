@@ -1,6 +1,5 @@
 #include "net/chaos.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/rng.hpp"
@@ -28,15 +27,6 @@ double unit_interval(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-double env_rate(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return 0.0;
-  const double v = std::strtod(raw, nullptr);
-  if (v < 0.0) return 0.0;
-  if (v > 1.0) return 1.0;
-  return v;
-}
-
 }  // namespace
 
 const char* to_string(ChaosAction action) noexcept {
@@ -58,26 +48,6 @@ bool ChaosConfig::enabled() const noexcept {
     if (override_rates.has_value() && override_rates->any()) return true;
   }
   return false;
-}
-
-ChaosConfig ChaosConfig::from_env() {
-  ChaosConfig config;
-  if (const char* raw = std::getenv("SPE_CHAOS_SEED"); raw != nullptr && *raw != '\0') {
-    config.seed = std::strtoull(raw, nullptr, 0);
-  }
-  config.rates.drop = env_rate("SPE_CHAOS_DROP");
-  config.rates.delay = env_rate("SPE_CHAOS_DELAY");
-  config.rates.corrupt = env_rate("SPE_CHAOS_CORRUPT");
-  config.rates.truncate = env_rate("SPE_CHAOS_TRUNCATE");
-  config.rates.duplicate = env_rate("SPE_CHAOS_DUPLICATE");
-  config.rates.reset = env_rate("SPE_CHAOS_RESET");
-  if (const char* raw = std::getenv("SPE_CHAOS_DELAY_MS_MAX");
-      raw != nullptr && *raw != '\0') {
-    const long long ms = std::strtoll(raw, nullptr, 10);
-    if (ms > 0) config.delay_max = std::chrono::milliseconds(ms);
-    if (config.delay_max < config.delay_min) config.delay_min = config.delay_max;
-  }
-  return config;
 }
 
 void ChaosStats::note(ChaosAction action) noexcept {

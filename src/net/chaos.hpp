@@ -84,13 +84,6 @@ struct ChaosConfig {
   std::chrono::milliseconds delay_max{20};
 
   [[nodiscard]] bool enabled() const noexcept;
-
-  /// Builds a config from SPE_CHAOS_* environment knobs (SPE_CHAOS_SEED,
-  /// SPE_CHAOS_DROP, SPE_CHAOS_DELAY, SPE_CHAOS_CORRUPT, SPE_CHAOS_TRUNCATE,
-  /// SPE_CHAOS_DUPLICATE, SPE_CHAOS_RESET, SPE_CHAOS_DELAY_MS_MAX). Rates
-  /// are probabilities in [0,1]. Unset = all zero (chaos compiled in but
-  /// disabled — the perf gate's configuration).
-  [[nodiscard]] static ChaosConfig from_env();
 };
 
 /// One frame event on one byte stream (see file comment).

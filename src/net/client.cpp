@@ -35,23 +35,6 @@ Client::Client(Client&& other) noexcept
   other.fd_ = -1;
 }
 
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    close();
-    config_ = std::move(other.config_);
-    fd_ = other.fd_;
-    next_id_ = other.next_id_;
-    tenant_set_ = other.tenant_set_;
-    tenant_id_ = other.tenant_id_;
-    tenant_secret_ = other.tenant_secret_;
-    chaos_tx_events_ = other.chaos_tx_events_;
-    chaos_rx_events_ = other.chaos_rx_events_;
-    decoder_ = std::move(other.decoder_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 void Client::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -133,12 +116,12 @@ void Client::connect() {
 std::uint64_t Client::send_frame(const Frame& frame) {
   if (!connected()) throw ConnectError("spe::net: not connected");
   std::vector<std::uint8_t> bytes;
-  if (tenant_set_ && frame.version >= 4 && !frame.has_tenant) {
+  if (tenant_set_ && !frame.has_tenant) {
     // Stamp the attached identity: a fresh token per frame, bound to the
     // request id and opcode so a captured frame cannot be replayed as a
     // different operation.
-    append_frame_direct(bytes, frame.version, frame.opcode, frame.status,
-                        frame.request_id, frame.payload, frame.deadline_ms,
+    append_frame_direct(bytes, frame.opcode, frame.status, frame.request_id,
+                        frame.payload, frame.deadline_ms,
                         /*has_tenant=*/true, tenant_id_,
                         tenant::make_token(tenant_secret_, tenant_id_,
                                            frame.request_id,

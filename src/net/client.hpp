@@ -92,10 +92,9 @@ public:
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  /// Movable: the moved-from client is disconnected and reusable only via
-  /// connect().
+  /// Move-constructible: the moved-from client is disconnected and reusable
+  /// only via connect().
   Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
 
   /// Connects (with retry/backoff). Throws ConnectError when every attempt
   /// fails. No-op when already connected.
@@ -103,12 +102,12 @@ public:
   void close() noexcept;
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
-  // --- multi-tenant identity (wire v4) --------------------------------------
-  /// Attaches an authenticated tenant identity: every subsequent v4 frame
+  // --- multi-tenant identity ------------------------------------------------
+  /// Attaches an authenticated tenant identity: every subsequent frame
   /// carries the tenant extension with a per-frame token MAC'd from
   /// `token_secret` (see src/tenant/token.hpp). The server denies forged or
   /// cross-tenant requests with Status::AccessDenied. Clearing reverts to
-  /// the default domain (the v1–v3 behaviour).
+  /// the default domain.
   void set_tenant(std::uint32_t tenant_id, std::uint64_t token_secret) noexcept {
     tenant_set_ = true;
     tenant_id_ = tenant_id;

@@ -327,7 +327,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   switch (frame.opcode) {
     case Opcode::Ping: {
       Frame resp;
-      resp.version = frame.version;
       resp.opcode = Opcode::Ping;
       resp.request_id = frame.request_id;
       resp.payload = std::move(frame.payload);
@@ -345,7 +344,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
       }
       const std::string text = export_metrics(format);
       Frame resp;
-      resp.version = frame.version;
       resp.opcode = Opcode::Metrics;
       resp.request_id = frame.request_id;
       resp.payload.assign(text.begin(), text.end());
@@ -360,7 +358,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
       return;
     case Opcode::Topology:
     case Opcode::MigrateRange:
-      // v2 opcodes reach here only without a cluster handler installed.
+      // Cluster opcodes reach here only without a cluster handler installed.
       respond_now(conn, make_error_response(frame, Status::BadRequest,
                                             "not a cluster member"));
       return;
@@ -399,7 +397,6 @@ void Server::submit_handler(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   pending.kind = Pending::Kind::Handler;
   pending.conn = conn;
   pending.request_id = frame.request_id;
-  pending.version = frame.version;
   pending.deadline_ms = frame.deadline_ms;
   pending.lane = next_lane_++;  // no shard affinity: spread across lanes
   pending.received = Clock::now();
@@ -411,12 +408,11 @@ void Server::submit_request(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   const Opcode op = frame.opcode;
   const std::uint64_t id = frame.request_id;
   if (!admit(conn, frame)) return;
-  // --- tenant resolution (wire v4) ------------------------------------------
-  // A frame without the tenant extension runs as the default domain — that is
-  // how v1–v3 clients keep working unchanged. A frame that does claim a
-  // tenant must authenticate (constant-time token MAC) before anything else;
-  // a forged or unknown identity is a typed AccessDenied, never a fallback
-  // to the default domain.
+  // --- tenant resolution -----------------------------------------------------
+  // A frame without the tenant extension runs as the default domain. A frame
+  // that does claim a tenant must authenticate (constant-time token MAC)
+  // before anything else; a forged or unknown identity is a typed
+  // AccessDenied, never a fallback to the default domain.
   tenant::TenantRegistry* reg = service_.config().tenants.get();
   tenant::TenantId tid = tenant::kDefaultTenant;
   if (frame.has_tenant && frame.tenant_id != tenant::kDefaultTenant) {
@@ -458,12 +454,11 @@ void Server::submit_request(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   Pending pending;
   pending.conn = conn;
   pending.request_id = id;
-  pending.version = frame.version;
   pending.deadline_ms = frame.deadline_ms;
   pending.tenant = tid;
   pending.admitted = tenant_admitted;
   pending.received = Clock::now();
-  // Deadline-aware load shedding: when a v3 frame declares its remaining
+  // Deadline-aware load shedding: when a frame declares its remaining
   // budget and the target shard's expected queue wait already exceeds it,
   // answer Busy with that wait as the retry-after hint — queueing it would
   // only burn shard time on a response the client must discard as late.
@@ -545,7 +540,7 @@ void Server::submit_request(const std::shared_ptr<Conn>& conn, Frame&& frame) {
           return;
         }
         if (!frame.has_tenant) {
-          // Pre-v4 clients carry no identity to authorize an admin op with.
+          // A tokenless frame carries no identity to authorize an admin op with.
           reg->counters(tid).denied.fetch_add(1, std::memory_order_relaxed);
           respond_now(conn,
                       make_error_response(frame, Status::BadRequest,
@@ -621,7 +616,7 @@ void Server::completion_loop(CompletionLane& lane) {
 
 void Server::finish_pending(Pending& pending) {
   // The wait is bounded by whichever expires first: the server-wide request
-  // timeout or the op's own v3 deadline. Drain expiry (stop() past its
+  // timeout or the op's own deadline. Drain expiry (stop() past its
   // budget) short-circuits the wait entirely — unready ops answer Stopped
   // now, typed, instead of holding shutdown hostage one timeout at a time.
   bool has_deadline = config_.request_timeout.count() > 0;
@@ -646,8 +641,7 @@ void Server::finish_pending(Pending& pending) {
   }
   // Every error/handler outcome goes through a Frame + deliver(); READ and
   // WRITE successes skip the Frame and encode straight into the connection's
-  // output buffer. The version echo happens in both paths (a v1 client never
-  // sees a v2 frame).
+  // output buffer.
   Frame response;
   try {
     switch (pending.kind) {
@@ -655,7 +649,6 @@ void Server::finish_pending(Pending& pending) {
         // The cluster hook owns its own deadlines (migration batches can
         // legitimately outlive request_timeout).
         response = cluster_->slow_path(std::move(pending.handler_frame));
-        response.version = pending.version;
         deliver(pending, response);
         return;
       case Pending::Kind::Read: {
@@ -731,12 +724,11 @@ void Server::finish_pending(Pending& pending) {
     response = make_error_response(opcode, Status::Internal, pending.request_id,
                                    e.what());
   }
-  response.version = pending.version;
   deliver(pending, response);
 }
 
-bool Server::append_response(const std::shared_ptr<Conn>& conn,
-                             std::uint8_t version, Opcode opcode, Status status,
+bool Server::append_response(const std::shared_ptr<Conn>& conn, Opcode opcode,
+                             Status status,
                              std::uint64_t request_id,
                              std::span<const std::uint8_t> payload,
                              bool may_block) {
@@ -765,7 +757,7 @@ bool Server::append_response(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard lock(conn->out_mutex);
     const std::size_t start = conn->out.size();
-    append_frame_direct(conn->out, version, opcode, status, request_id, payload);
+    append_frame_direct(conn->out, opcode, status, request_id, payload);
     switch (action) {
       case ChaosAction::Corrupt:
         conn->out[start + chaos->corrupt_offset(site, conn->out.size() - start)] ^=
@@ -796,8 +788,8 @@ bool Server::append_response(const std::shared_ptr<Conn>& conn,
 }
 
 void Server::respond_now(const std::shared_ptr<Conn>& conn, const Frame& frame) {
-  if (!append_response(conn, frame.version, frame.opcode, frame.status,
-                       frame.request_id, frame.payload, /*may_block=*/false))
+  if (!append_response(conn, frame.opcode, frame.status, frame.request_id,
+                       frame.payload, /*may_block=*/false))
     return;
   flush(conn);
 }
@@ -811,8 +803,8 @@ void Server::deliver(const Pending& pending, const Frame& frame) {
   count_completed(pending);
   const std::shared_ptr<Conn>& conn = pending.conn;
   if (conn->dead.load(std::memory_order_acquire)) return;
-  if (!append_response(conn, frame.version, frame.opcode, frame.status,
-                       frame.request_id, frame.payload, /*may_block=*/true))
+  if (!append_response(conn, frame.opcode, frame.status, frame.request_id,
+                       frame.payload, /*may_block=*/true))
     return;
   {
     std::lock_guard lock(dirty_mutex_);
@@ -826,8 +818,8 @@ void Server::deliver_direct(const Pending& pending, Opcode opcode,
   count_completed(pending);
   const std::shared_ptr<Conn>& conn = pending.conn;
   if (conn->dead.load(std::memory_order_acquire)) return;
-  if (!append_response(conn, pending.version, opcode, Status::Ok,
-                       pending.request_id, payload, /*may_block=*/true))
+  if (!append_response(conn, opcode, Status::Ok, pending.request_id, payload,
+                       /*may_block=*/true))
     return;
   {
     std::lock_guard lock(dirty_mutex_);

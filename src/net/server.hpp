@@ -106,7 +106,7 @@ struct ServerConfig {
   std::chrono::milliseconds idle_timeout{30'000};    ///< 0 disables
   std::chrono::milliseconds request_timeout{5'000};  ///< 0 disables
   std::chrono::milliseconds drain_timeout{5'000};    ///< stop() in-flight bound
-  /// Deadline-aware load shedding: a v3 READ/WRITE whose declared deadline
+  /// Deadline-aware load shedding: a READ/WRITE whose declared deadline
   /// is shorter than the target shard's expected queue wait is answered
   /// Status::Busy (with the expected wait as the retry-after hint) instead
   /// of being queued to time out. Frames without a deadline are unaffected.
@@ -154,7 +154,7 @@ public:
   Server& operator=(const Server&) = delete;
 
   /// Installs the cluster hook. Call before start(); the handler must
-  /// outlive the server. Null detaches (single-node mode: the v2 cluster
+  /// outlive the server. Null detaches (single-node mode: the cluster
   /// opcodes answer BadRequest).
   void set_cluster_handler(ClusterHandler* handler) noexcept {
     cluster_ = handler;
@@ -217,12 +217,11 @@ private:
     } kind = Kind::Read;
     std::shared_ptr<Conn> conn;
     std::uint64_t request_id = 0;
-    std::uint8_t version = kWireVersion;  ///< echoed into the response
-    std::uint64_t deadline_ms = 0;  ///< v3 op deadline; 0 = none
+    std::uint64_t deadline_ms = 0;  ///< op deadline; 0 = none
     unsigned lane = 0;  ///< completion lane chosen at submit (shard-affine)
-    /// v4: the authenticated tenant this request runs as (default for
-    /// legacy frames). `admitted` means a per-tenant inflight slot is held
-    /// and must be released when the request settles.
+    /// The authenticated tenant this request runs as (default for frames
+    /// without the tenant extension). `admitted` means a per-tenant inflight
+    /// slot is held and must be released when the request settles.
     std::uint32_t tenant = 0;
     bool admitted = false;
     std::uint32_t rotate_target = 0;  ///< Kind::Rotate: tenant to rotate
@@ -287,8 +286,8 @@ private:
   /// when the chaos decision swallowed the frame (nothing appended).
   /// `may_block` gates the Delay action (completion threads only — the
   /// event loop must never sleep).
-  bool append_response(const std::shared_ptr<Conn>& conn, std::uint8_t version,
-                       Opcode opcode, Status status, std::uint64_t request_id,
+  bool append_response(const std::shared_ptr<Conn>& conn, Opcode opcode,
+                       Status status, std::uint64_t request_id,
                        std::span<const std::uint8_t> payload, bool may_block);
   /// Settles one pending request on its completion lane: waits the future
   /// (bounded by request_timeout), encodes and delivers the response.

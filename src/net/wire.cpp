@@ -31,13 +31,9 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
 
 }  // namespace
 
-bool opcode_valid(std::uint8_t raw, std::uint8_t version) noexcept {
-  const std::uint8_t max = version >= 4
-                               ? static_cast<std::uint8_t>(Opcode::RotateKey)
-                           : version >= 2
-                               ? static_cast<std::uint8_t>(Opcode::MigrateRange)
-                               : static_cast<std::uint8_t>(Opcode::Metrics);
-  return raw >= static_cast<std::uint8_t>(Opcode::Ping) && raw <= max;
+bool opcode_valid(std::uint8_t raw) noexcept {
+  return raw >= static_cast<std::uint8_t>(Opcode::Ping) &&
+         raw <= static_cast<std::uint8_t>(Opcode::RotateKey);
 }
 
 const char* to_string(Opcode op) noexcept {
@@ -54,12 +50,8 @@ const char* to_string(Opcode op) noexcept {
   return "?";
 }
 
-bool status_valid(std::uint8_t raw, std::uint8_t version) noexcept {
-  const std::uint8_t max = version >= 4   ? static_cast<std::uint8_t>(Status::AccessDenied)
-                           : version >= 3 ? static_cast<std::uint8_t>(Status::Busy)
-                           : version >= 2 ? static_cast<std::uint8_t>(Status::Moved)
-                                          : static_cast<std::uint8_t>(Status::Internal);
-  return raw <= max;
+bool status_valid(std::uint8_t raw) noexcept {
+  return raw <= static_cast<std::uint8_t>(Status::AccessDenied);
 }
 
 const char* to_string(Status status) noexcept {
@@ -97,25 +89,19 @@ const char* to_string(WireErrorCode code) noexcept {
   return "?";
 }
 
-void append_frame_direct(std::vector<std::uint8_t>& out, std::uint8_t version,
-                         Opcode opcode, Status status, std::uint64_t request_id,
+void append_frame_direct(std::vector<std::uint8_t>& out, Opcode opcode,
+                         Status status, std::uint64_t request_id,
                          std::span<const std::uint8_t> payload,
                          std::uint64_t deadline_ms, bool has_tenant,
                          std::uint32_t tenant_id, std::uint64_t tenant_token) {
-  const std::uint8_t v = version >= kMinWireVersion && version <= kWireVersion
-                             ? version
-                             : kWireVersion;
-  // Extensions only exist from the version that defined them; older peers
-  // get the bare frame (they could not decode the flag anyway).
-  const bool with_deadline = deadline_ms != 0 && v >= 3;
-  const bool with_tenant = has_tenant && v >= 4;
+  const bool with_deadline = deadline_ms != 0;
   std::uint8_t ext[kDeadlineExtBytes + kTenantExtBytes];
   std::size_t ext_len = 0;
   if (with_deadline) {
     for (std::size_t i = 0; i < kDeadlineExtBytes; ++i)
       ext[ext_len++] = static_cast<std::uint8_t>(deadline_ms >> (8 * i));
   }
-  if (with_tenant) {
+  if (has_tenant) {
     for (std::size_t i = 0; i < 4; ++i)
       ext[ext_len++] = static_cast<std::uint8_t>(tenant_id >> (8 * i));
     for (std::size_t i = 0; i < 8; ++i)
@@ -123,10 +109,10 @@ void append_frame_direct(std::vector<std::uint8_t>& out, std::uint8_t version,
   }
   std::uint8_t flags = 0;
   if (with_deadline) flags |= kFlagDeadline;
-  if (with_tenant) flags |= kFlagTenant;
+  if (has_tenant) flags |= kFlagTenant;
   out.reserve(out.size() + kHeaderBytes + ext_len + payload.size());
   out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  out.push_back(v);
+  out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(opcode));
   out.push_back(static_cast<std::uint8_t>(status));
   out.push_back(flags);
@@ -141,9 +127,9 @@ void append_frame_direct(std::vector<std::uint8_t>& out, std::uint8_t version,
 }
 
 void append_frame(std::vector<std::uint8_t>& out, const Frame& frame) {
-  append_frame_direct(out, frame.version, frame.opcode, frame.status,
-                      frame.request_id, frame.payload, frame.deadline_ms,
-                      frame.has_tenant, frame.tenant_id, frame.tenant_token);
+  append_frame_direct(out, frame.opcode, frame.status, frame.request_id,
+                      frame.payload, frame.deadline_ms, frame.has_tenant,
+                      frame.tenant_id, frame.tenant_token);
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
@@ -258,15 +244,12 @@ Frame make_error_response(Opcode op, Status status, std::uint64_t id,
 }
 
 Frame make_error_response(const Frame& request, Status status, std::string_view reason) {
-  Frame f = make_error_response(request.opcode, status, request.request_id, reason);
-  f.version = request.version;
-  return f;
+  return make_error_response(request.opcode, status, request.request_id, reason);
 }
 
 Frame make_busy_response(const Frame& request, std::uint64_t retry_after_ms,
                          std::string_view reason) {
   Frame f;
-  f.version = request.version;  // callers only shed v3 requests
   f.opcode = request.opcode;
   f.status = Status::Busy;
   f.request_id = request.request_id;
@@ -412,20 +395,14 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   const std::uint8_t* p = buf_.data() + off_;
   for (std::size_t i = 0; i < avail && i < 4; ++i)
     if (p[i] != kMagic[i]) return fail(WireErrorCode::BadMagic);
-  if (avail >= 5 && (p[4] < kMinWireVersion || p[4] > kWireVersion))
-    return fail(WireErrorCode::BadVersion);
+  if (avail >= 5 && p[4] != kWireVersion) return fail(WireErrorCode::BadVersion);
   if (avail < kHeaderBytes) return DecodeStatus::NeedMore;
 
-  const std::uint8_t version = p[4];
-  if (!opcode_valid(p[5], version)) return fail(WireErrorCode::BadOpcode);
-  if (!status_valid(p[6], version)) return fail(WireErrorCode::BadStatus);
+  if (!opcode_valid(p[5])) return fail(WireErrorCode::BadOpcode);
+  if (!status_valid(p[6])) return fail(WireErrorCode::BadStatus);
   const std::uint8_t flags = p[7];
-  // v1/v2 reserve the whole byte; each later version defines its own known
-  // set and reserves the rest, so an unknown future flag — or a v4-only
-  // flag arriving in an older frame — still fails loudly instead of being
-  // silently misparsed.
-  if ((flags & ~known_flags(version)) != 0)
-    return fail(WireErrorCode::ReservedNonzero);
+  // Unknown flag bits fail loudly instead of being silently misparsed.
+  if ((flags & ~kKnownFlags) != 0) return fail(WireErrorCode::ReservedNonzero);
   const std::uint64_t request_id = get_u64(p + 8);
   const std::uint32_t payload_len = get_u32(p + 16);
   const std::uint32_t crc = get_u32(p + 20);
@@ -440,7 +417,6 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   const std::uint8_t* payload = p + kHeaderBytes;
   if (util::crc32(payload, payload_len) != crc) return fail(WireErrorCode::CrcMismatch);
 
-  out.version = version;
   out.opcode = static_cast<Opcode>(p[5]);
   out.status = static_cast<Status>(p[6]);
   out.request_id = request_id;

@@ -1,5 +1,5 @@
 #pragma once
-// Versioned length-prefixed binary wire protocol for the SPE memory service
+// Length-prefixed binary wire protocol for the SPE memory service
 // (src/net, "spe_net"). One frame shape serves both directions: requests
 // carry status Ok, responses echo the request id and report the outcome in
 // the status byte. The payload is covered by a CRC32 (same IEEE polynomial
@@ -11,35 +11,27 @@
 //
 //   offset size field
 //        0    4 magic "SPW1"
-//        4    1 version (kWireVersion)
+//        4    1 version (kWireVersion; any other value is BadVersion)
 //        5    1 opcode (Opcode)
 //        6    1 status (Status; Ok on requests)
-//        7    1 flags (v3; must be zero in v1/v2 where it was reserved)
+//        7    1 flags (kKnownFlags; any other bit is ReservedNonzero)
 //        8    8 request id (echoed verbatim in the response)
 //       16    4 payload length in bytes
 //       20    4 CRC32 over the payload bytes
 //       24    n payload
 //
-// v3 flags: bit 0 = deadline extension — the first 8 payload bytes are a
-// little-endian u64 deadline in milliseconds (the sender's remaining time
-// budget for this op). The extension bytes count toward payload length and
-// the CRC; the decoder strips them into Frame::deadline_ms so opcode payload
-// parsers are version-agnostic. All other flag bits must be zero
-// (ReservedNonzero), preserving v1/v2 semantics where the whole byte was
-// reserved — a v3 frame with no flags is byte-identical to a v2 frame
-// except for the version byte.
+// Flags announce extensions that lead the payload, in this order:
+//   bit 0 deadline: u64 milliseconds of budget the sender has left for
+//         the op (8 bytes).
+//   bit 1 tenant: u32 tenant id + u64 authentication token (12 bytes, see
+//         src/tenant/token.hpp). A frame without it runs as the default
+//         tenant.
+// Extension bytes count toward the payload length and the CRC; the decoder
+// strips them into Frame::deadline_ms / has_tenant / tenant_id /
+// tenant_token, so opcode payload parsers never see them.
 //
-// v4 flags: bit 1 = tenant extension — 12 payload bytes (u32 tenant id +
-// u64 authentication token, see src/tenant/token.hpp) placed AFTER the
-// deadline extension when both flags are set. Like the deadline, the bytes
-// count toward payload length and the CRC and are stripped by the decoder
-// (Frame::has_tenant / tenant_id / tenant_token). The tenant flag in a
-// pre-v4 frame is ReservedNonzero, so v1–v3 encodings are untouched; a v4
-// frame with no flags differs from v3 only in the version byte, which is
-// how legacy clients keep being served byte-for-byte as the default tenant.
-// v4 also adds the ROTATE_KEY admin opcode and the QUOTA_EXCEEDED /
-// ACCESS_DENIED statuses (multi-tenant denials to pre-v4 clients are mapped
-// to BadRequest, which every version can carry).
+// The version byte exists so that a future incompatible change is detected
+// on a peer's first five bytes instead of being misparsed.
 //
 // Payloads by opcode:
 //   PING     request: arbitrary bytes      response: echoed bytes
@@ -48,24 +40,17 @@
 //   SCRUB    request: empty                response: u64 blocks scrubbed
 //   METRICS  request: u8 format (0=Prometheus, 1=JSON), or empty for
 //            Prometheus                    response: rendered export text
-//   TOPOLOGY (v2) request: empty = fetch, or a serialised ClusterTopology
+//   TOPOLOGY request: empty = fetch, or a serialised ClusterTopology
 //            to propose/adopt             response: serialised topology
-//   MIGRATE_RANGE (v2) request: serialised MigrateSpec (src/cluster)
+//   MIGRATE_RANGE request: serialised MigrateSpec (src/cluster)
 //                                         response: u64 migrated/skipped/failed
-//   ROTATE_KEY (v4) request: u32 tenant id whose key domain to rotate
+//   ROTATE_KEY request: u32 tenant id whose key domain to rotate
 //                                         response: u64 new epoch + u64 blocks
 //                                         scheduled for re-encryption
 //   any error response: human-readable reason string
-//   MOVED (v2 status) response: serialised owner NodeInfo (src/cluster) —
-//            the address now lives on another cluster node; retry there.
-//
-// Versioning: frames carry the version they were encoded with. The decoder
-// accepts every version in [kMinWireVersion, kWireVersion]; v2-only opcodes
-// (TOPOLOGY, MIGRATE_RANGE) and the MOVED status are rejected as
-// BadOpcode/BadStatus when they arrive in a v1 frame, and the v3-only BUSY
-// status and deadline flag are rejected likewise in v1/v2 frames. Servers
-// echo the request's version in the response so a v1/v2 client keeps
-// decoding cleanly against a v3 server.
+//   MOVED status response: serialised owner NodeInfo (src/cluster) — the
+//            address now lives on another cluster node; retry there.
+//   BUSY status response: u64 retry-after milliseconds + reason string.
 //
 // Decoding is incremental and truncation-safe: FrameDecoder::feed() buffers
 // arbitrary byte chunks and next() yields complete frames, NeedMore while a
@@ -85,23 +70,17 @@
 namespace spe::net {
 
 inline constexpr std::uint8_t kWireVersion = 4;
-inline constexpr std::uint8_t kMinWireVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::uint8_t kMagic[4] = {'S', 'P', 'W', '1'};
 inline constexpr std::size_t kDefaultMaxFrameBytes = std::size_t{1} << 20;
 
-/// Header flags (byte 7). Must all be zero in v1/v2 frames; v3 knows the
-/// deadline flag, v4 adds the tenant flag.
+/// Header flags (byte 7); every bit outside kKnownFlags is reserved.
 inline constexpr std::uint8_t kFlagDeadline = 0x01;
-inline constexpr std::uint8_t kFlagTenant = 0x02;  ///< v4: tenant extension
+inline constexpr std::uint8_t kFlagTenant = 0x02;
 inline constexpr std::uint8_t kKnownFlags = kFlagDeadline | kFlagTenant;
-/// Flag bits a frame of `version` may legally carry.
-[[nodiscard]] constexpr std::uint8_t known_flags(std::uint8_t version) noexcept {
-  return version >= 4 ? kKnownFlags : version >= 3 ? kFlagDeadline : 0;
-}
 /// Encoded size of the deadline extension the kFlagDeadline flag announces.
 inline constexpr std::size_t kDeadlineExtBytes = 8;
-/// Encoded size of the v4 tenant extension (u32 tenant id + u64 token).
+/// Encoded size of the tenant extension (u32 tenant id + u64 token).
 inline constexpr std::size_t kTenantExtBytes = 12;
 
 enum class Opcode : std::uint8_t {
@@ -110,12 +89,11 @@ enum class Opcode : std::uint8_t {
   Write = 3,
   Scrub = 4,
   Metrics = 5,
-  Topology = 6,      ///< v2: cluster topology fetch / propose
-  MigrateRange = 7,  ///< v2: device-bound block migration batch
-  RotateKey = 8,     ///< v4: admin — rotate a tenant's key domain
+  Topology = 6,      ///< cluster topology fetch / propose
+  MigrateRange = 7,  ///< device-bound block migration batch
+  RotateKey = 8,     ///< admin — rotate a tenant's key domain
 };
-[[nodiscard]] bool opcode_valid(std::uint8_t raw,
-                                std::uint8_t version = kWireVersion) noexcept;
+[[nodiscard]] bool opcode_valid(std::uint8_t raw) noexcept;
 [[nodiscard]] const char* to_string(Opcode op) noexcept;
 
 /// Response outcome, mapped from the runtime error taxonomy
@@ -130,13 +108,12 @@ enum class Status : std::uint8_t {
   Torn = 6,           ///< TornBlockError: crash-torn block
   Timeout = 7,        ///< server-side request deadline expired
   Internal = 8,       ///< anything else; payload carries the reason
-  Moved = 9,          ///< v2: address owned by another node (payload names it)
-  Busy = 10,          ///< v3: load shed — payload leads with u64 retry-after ms
-  QuotaExceeded = 11, ///< v4: tenant resident-block quota exhausted
-  AccessDenied = 12,  ///< v4: bad token, cross-tenant access, or admin refused
+  Moved = 9,          ///< address owned by another node (payload names it)
+  Busy = 10,          ///< load shed — payload leads with u64 retry-after ms
+  QuotaExceeded = 11, ///< tenant resident-block quota exhausted
+  AccessDenied = 12,  ///< bad token, cross-tenant access, or admin refused
 };
-[[nodiscard]] bool status_valid(std::uint8_t raw,
-                                std::uint8_t version = kWireVersion) noexcept;
+[[nodiscard]] bool status_valid(std::uint8_t raw) noexcept;
 [[nodiscard]] const char* to_string(Status status) noexcept;
 
 /// Every way a byte stream can fail to decode. None is the "no error yet"
@@ -157,26 +134,24 @@ enum class WireErrorCode : std::uint8_t {
 
 /// One decoded (or to-be-encoded) frame.
 struct Frame {
-  std::uint8_t version = kWireVersion;  ///< decoded: as received; encode echoes it
   Opcode opcode = Opcode::Ping;
   Status status = Status::Ok;
   std::uint64_t request_id = 0;
-  /// v3 deadline extension, milliseconds of budget remaining for the op.
-  /// 0 = none. Encoded only when nonzero AND version >= 3 (a v1/v2 frame
-  /// silently sheds it — those peers cannot carry the field); the decoder
-  /// strips the extension here so `payload` is always the opcode payload.
+  /// Deadline extension, milliseconds of budget remaining for the op.
+  /// 0 = none (not encoded); the decoder strips the extension here so
+  /// `payload` is always the opcode payload.
   std::uint64_t deadline_ms = 0;
-  /// v4 tenant extension: an authenticated tenant identity. Encoded only
-  /// when has_tenant AND version >= 4; stripped by the decoder like the
-  /// deadline. Responses never carry it (the server knows who it answers).
+  /// Tenant extension: an authenticated tenant identity, encoded when
+  /// has_tenant and stripped by the decoder like the deadline. Responses
+  /// never carry it (the server knows who it answers).
   bool has_tenant = false;
   std::uint32_t tenant_id = 0;
   std::uint64_t tenant_token = 0;
   std::vector<std::uint8_t> payload;
 };
 
-/// Stamps a request frame with a tenant identity + token (sets the v4
-/// tenant extension fields; the encoder emits them for v4 frames).
+/// Stamps a request frame with a tenant identity + token (the encoder emits
+/// them as the tenant extension).
 inline void attach_tenant(Frame& frame, std::uint32_t tenant_id,
                           std::uint64_t token) noexcept {
   frame.has_tenant = true;
@@ -190,10 +165,9 @@ void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
 /// Same encoding without materialising a Frame: the payload is written
 /// straight from the caller's buffer into `out` — the server's completion
 /// lanes use this to assemble READ/WRITE responses directly in the
-/// connection's output buffer. An out-of-range version encodes as
-/// kWireVersion (same clamping append_frame applies).
-void append_frame_direct(std::vector<std::uint8_t>& out, std::uint8_t version,
-                         Opcode opcode, Status status, std::uint64_t request_id,
+/// connection's output buffer.
+void append_frame_direct(std::vector<std::uint8_t>& out, Opcode opcode,
+                         Status status, std::uint64_t request_id,
                          std::span<const std::uint8_t> payload,
                          std::uint64_t deadline_ms = 0, bool has_tenant = false,
                          std::uint32_t tenant_id = 0,
@@ -230,16 +204,15 @@ void append_frame_direct(std::vector<std::uint8_t>& out, std::uint8_t version,
 /// Error response: status + the reason string as payload.
 [[nodiscard]] Frame make_error_response(Opcode op, Status status, std::uint64_t id,
                                         std::string_view reason);
-/// Error response shaped after the request: echoes opcode, id AND wire
-/// version, so a v1 client never receives a v2 frame.
+/// Error response shaped after the request: echoes opcode and id.
 [[nodiscard]] Frame make_error_response(const Frame& request, Status status,
                                         std::string_view reason);
-/// BUSY (v3): load shed with a retry-after hint. The payload leads with a
+/// BUSY: load shed with a retry-after hint. The payload leads with a
 /// u64 retry-after in milliseconds followed by the reason string.
 [[nodiscard]] Frame make_busy_response(const Frame& request,
                                        std::uint64_t retry_after_ms,
                                        std::string_view reason);
-/// ROTATE_KEY (v4): admin request to rotate `tenant`'s key domain; the
+/// ROTATE_KEY: admin request to rotate `tenant`'s key domain; the
 /// response reports the new epoch and how many blocks were scheduled for
 /// background re-encryption.
 [[nodiscard]] Frame make_rotate_request(std::uint64_t id, std::uint32_t tenant);

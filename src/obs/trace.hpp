@@ -10,7 +10,7 @@
 //
 // Two clock domains:
 //   * wall      monotonic steady_clock nanoseconds since enable() — what the
-//               throughput bench and slow-op logging use.
+//               throughput bench uses.
 //   * deterministic  a global logical tick counter: every timestamp is
 //               tick++. With a serialised workload (one worker, blocking
 //               submits, background threads off) two runs of the same seed

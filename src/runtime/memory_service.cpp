@@ -314,30 +314,6 @@ void MemoryService::write(std::uint64_t block_addr, std::span<const std::uint8_t
   submit_write(block_addr, data).get();
 }
 
-MemoryService::TracedRead MemoryService::read_traced(std::uint64_t block_addr) {
-  const unsigned s = shard_of(block_addr);
-  auto summary = std::make_shared<OpSummary>();
-  obs::Tracer::instance().instant("svc.submit", block_addr, s);
-  auto future = shards_[s]->queue().push_read(block_addr, summary);
-  notify_worker(s);
-  TracedRead out;
-  out.data = future.get();
-  out.summary = *summary;  // filled before the promise resolved
-  return out;
-}
-
-OpSummary MemoryService::write_traced(std::uint64_t block_addr,
-                                      std::span<const std::uint8_t> data) {
-  const unsigned s = shard_of(block_addr);
-  auto summary = std::make_shared<OpSummary>();
-  obs::Tracer::instance().instant("svc.submit", block_addr, s);
-  auto future =
-      shards_[s]->queue().push_write(block_addr, {data.begin(), data.end()}, summary);
-  notify_worker(s);
-  future.get();
-  return *summary;
-}
-
 void MemoryService::notify_worker(unsigned shard) {
   Worker& worker = *workers_[shard % workers_.size()];
   {
@@ -561,8 +537,6 @@ void MemoryService::fill_metrics(obs::MetricsRegistry& registry) const {
           snap.totals.write_retries);
   counter("spe_injected_faults_total", "faults materialised by the injectors",
           snap.totals.injected_faults);
-  counter("spe_slow_ops_total", "ops over ObsConfig::slow_op_threshold",
-          snap.totals.slow_ops);
   counter("spe_trace_events_dropped_total", "trace events dropped by full rings",
           obs::Tracer::instance().dropped());
 
@@ -667,15 +641,6 @@ std::string MemoryService::export_metrics(obs::MetricsFormat format) const {
   obs::MetricsRegistry registry;
   fill_metrics(registry);
   return registry.render(format);
-}
-
-std::vector<OpSummary> MemoryService::slow_ops() const {
-  std::vector<OpSummary> out;
-  for (const auto& shard : shards_) {
-    auto rows = shard->slow_ops();
-    out.insert(out.end(), rows.begin(), rows.end());
-  }
-  return out;
 }
 
 double MemoryService::encrypted_fraction() const {

@@ -100,17 +100,6 @@ public:
   [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t block_addr);
   void write(std::uint64_t block_addr, std::span<const std::uint8_t> data);
 
-  /// Blocking ops that also surface the per-op span summary (queue wait,
-  /// execute time, pulses applied, cells corrected, retries) filled by the
-  /// worker just before the future resolves. Slightly dearer than read() /
-  /// write(); use for diagnostics, not the hot path.
-  struct TracedRead {
-    std::vector<std::uint8_t> data;
-    OpSummary summary;
-  };
-  [[nodiscard]] TracedRead read_traced(std::uint64_t block_addr);
-  OpSummary write_traced(std::uint64_t block_addr, std::span<const std::uint8_t> data);
-
   /// Drains every queue, fulfils outstanding futures, and joins all
   /// threads; any request still queued after the final drain (shutdown
   /// races) fails with ServiceStoppedError rather than a broken promise.
@@ -160,10 +149,6 @@ public:
   /// one JSON object (deterministic, name-sorted either way).
   [[nodiscard]] std::string export_metrics(
       obs::MetricsFormat format = obs::MetricsFormat::Prometheus) const;
-
-  /// Recent ops whose execute time crossed ObsConfig::slow_op_threshold,
-  /// gathered across shards (each shard keeps a bounded ring).
-  [[nodiscard]] std::vector<OpSummary> slow_ops() const;
 
   /// Synchronous full scrub pass: every shard ages + SEC-DED-verifies each
   /// of its resident blocks exactly once. Returns total blocks scrubbed.

@@ -24,14 +24,12 @@ void RequestQueue::admit(std::unique_lock<std::mutex>& lock) {
   if (closed()) throw ServiceStoppedError(shard_id_);
 }
 
-std::future<std::vector<std::uint8_t>> RequestQueue::push_read(
-    std::uint64_t block_addr, std::shared_ptr<OpSummary> summary) {
+std::future<std::vector<std::uint8_t>> RequestQueue::push_read(std::uint64_t block_addr) {
   std::unique_lock lock(mutex_);
   admit(lock);
   Request req;
   req.kind = Request::Kind::Read;
   req.block_addr = block_addr;
-  req.summary = std::move(summary);
   req.enqueued = std::chrono::steady_clock::now();
   auto future = req.read_promise.get_future();
   // A pending write for this block must no longer coalesce: a later write
@@ -44,8 +42,7 @@ std::future<std::vector<std::uint8_t>> RequestQueue::push_read(
 }
 
 std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
-                                           std::vector<std::uint8_t> data,
-                                           std::shared_ptr<OpSummary> summary) {
+                                           std::vector<std::uint8_t> data) {
   std::unique_lock lock(mutex_);
   if (coalesce_writes_ && !closed()) {
     // Coalescing needs no queue slot, so it also bypasses backpressure.
@@ -54,7 +51,6 @@ std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
       open.data = std::move(data);
       Request::WriteWaiter waiter;
       waiter.enqueued = std::chrono::steady_clock::now();
-      waiter.summary = std::move(summary);
       auto future = waiter.promise.get_future();
       open.write_waiters.push_back(std::move(waiter));
       counters_.writes_coalesced.fetch_add(1, std::memory_order_relaxed);
@@ -68,7 +64,6 @@ std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
   req.data = std::move(data);
   Request::WriteWaiter waiter;
   waiter.enqueued = std::chrono::steady_clock::now();
-  waiter.summary = std::move(summary);
   auto future = waiter.promise.get_future();
   req.write_waiters.push_back(std::move(waiter));
   if (coalesce_writes_) open_writes_[block_addr] = pending_.size();

@@ -11,7 +11,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -29,7 +28,6 @@ struct Request {
   struct WriteWaiter {
     std::promise<void> promise;
     std::chrono::steady_clock::time_point enqueued;
-    std::shared_ptr<OpSummary> summary;  ///< filled before the promise (opt-in)
   };
 
   Kind kind = Kind::Read;
@@ -37,7 +35,6 @@ struct Request {
   std::vector<std::uint8_t> data;  ///< write payload (latest wins)
   std::promise<std::vector<std::uint8_t>> read_promise;
   std::chrono::steady_clock::time_point enqueued;  ///< read submission time
-  std::shared_ptr<OpSummary> summary;  ///< read summary slot (opt-in)
   std::vector<WriteWaiter> write_waiters;
 };
 
@@ -47,14 +44,10 @@ public:
                bool coalesce_writes, ShardCounters& counters);
 
   /// Producer side. Throws QueueFullError when the Reject policy bounces
-  /// the request, ServiceStoppedError once the queue is closed. A non-null
-  /// `summary` slot is filled by the executing worker just before the
-  /// promise resolves (the traced read/write path).
-  [[nodiscard]] std::future<std::vector<std::uint8_t>> push_read(
-      std::uint64_t block_addr, std::shared_ptr<OpSummary> summary = nullptr);
+  /// the request, ServiceStoppedError once the queue is closed.
+  [[nodiscard]] std::future<std::vector<std::uint8_t>> push_read(std::uint64_t block_addr);
   [[nodiscard]] std::future<void> push_write(std::uint64_t block_addr,
-                                             std::vector<std::uint8_t> data,
-                                             std::shared_ptr<OpSummary> summary = nullptr);
+                                             std::vector<std::uint8_t> data);
 
   /// Consumer side: removes and returns everything queued (FIFO order).
   [[nodiscard]] std::vector<Request> drain();

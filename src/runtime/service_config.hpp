@@ -154,13 +154,6 @@ struct ObsConfig {
   bool deterministic_trace = false; ///< logical ticks (golden-trace mode)
   bool trace_pulses = false;        ///< per-pulse journal.advance instants
   std::size_t trace_buffer_events = std::size_t{1} << 16;  ///< per-thread ring
-
-  /// Execute-time threshold for slow-op accounting; 0 disables. Slow ops
-  /// are counted (spe_slow_ops_total), kept in a per-shard ring
-  /// (MemoryService::slow_ops()) and optionally logged to stderr.
-  std::chrono::nanoseconds slow_op_threshold{0};
-  bool log_slow_ops = false;
-  std::size_t slow_op_capacity = 64;  ///< per-shard slow-op ring size
 };
 
 struct ServiceConfig {
@@ -212,7 +205,7 @@ struct ServiceConfig {
   std::uint64_t fault_seed = 0xFA117;
   fault::FaultModelConfig faults;
 
-  // --- observability (src/obs: tracing, metrics, slow-op accounting) ------
+  // --- observability (src/obs: tracing, metrics) -------------------------
   ObsConfig obs;
 
   // --- multi-tenant key domains (src/tenant, DESIGN.md §15) ---------------

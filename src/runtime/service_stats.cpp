@@ -30,7 +30,6 @@ ShardStatsSnapshot snapshot_counters(unsigned shard, const ShardCounters& c) {
   s.write_retries = c.write_retries.load(std::memory_order_relaxed);
   s.blocks_remapped = c.blocks_remapped.load(std::memory_order_relaxed);
   s.blocks_scrubbed = c.blocks_scrubbed.load(std::memory_order_relaxed);
-  s.slow_ops = c.slow_ops.load(std::memory_order_relaxed);
   s.read_latency = c.read_latency.snapshot();
   s.write_latency = c.write_latency.snapshot();
   s.background_latency = c.background_latency.snapshot();
@@ -55,7 +54,6 @@ ServiceStatsSnapshot aggregate(std::vector<ShardStatsSnapshot> shards) {
     sat_add(out.totals.write_retries, s.write_retries);
     sat_add(out.totals.blocks_remapped, s.blocks_remapped);
     sat_add(out.totals.blocks_scrubbed, s.blocks_scrubbed);
-    sat_add(out.totals.slow_ops, s.slow_ops);
     sat_add(out.totals.injected_faults, s.injected_faults);
     sat_add(out.totals.quarantined_now, s.quarantined_now);
     sat_add(out.totals.plaintext_blocks, s.plaintext_blocks);
@@ -99,8 +97,7 @@ std::string ServiceStatsSnapshot::to_string() const {
      << " remapped=" << totals.blocks_remapped
      << " retries=r" << totals.read_retries << "/w" << totals.write_retries
      << " scrubbed=" << totals.blocks_scrubbed
-     << " injected=" << totals.injected_faults
-     << " slow=" << totals.slow_ops << "\n";
+     << " injected=" << totals.injected_faults << "\n";
   print_latency_row(os, "read ", totals.read_latency);
   print_latency_row(os, "write", totals.write_latency);
   print_latency_row(os, "bgenc", totals.background_latency);

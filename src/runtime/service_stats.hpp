@@ -44,8 +44,6 @@ struct ShardCounters {
   std::atomic<std::uint64_t> blocks_remapped{0};       ///< spare-location remaps
   std::atomic<std::uint64_t> blocks_scrubbed{0};       ///< scrub verifications run
 
-  std::atomic<std::uint64_t> slow_ops{0};  ///< ops over ObsConfig::slow_op_threshold
-
   /// EWMA of one request's shard execution time (alpha = 1/8), maintained by
   /// the worker after every request. Load-shedding multiplies this by the
   /// queue depth to estimate a newcomer's wait; it is an estimator, not an
@@ -88,7 +86,6 @@ struct ShardStatsSnapshot {
   std::uint64_t write_retries = 0;
   std::uint64_t blocks_remapped = 0;
   std::uint64_t blocks_scrubbed = 0;
-  std::uint64_t slow_ops = 0;
   std::uint64_t injected_faults = 0;  ///< materialised by this shard's injector
   std::size_t quarantined_now = 0;    ///< blocks currently quarantined
   std::size_t plaintext_blocks = 0;  ///< SPE-serial exposure at snapshot time
@@ -115,22 +112,5 @@ struct ServiceStatsSnapshot {
 /// Counter totals saturate at uint64 max rather than wrapping, preserving
 /// the never-goes-backwards guarantee near overflow.
 [[nodiscard]] ServiceStatsSnapshot aggregate(std::vector<ShardStatsSnapshot> shards);
-
-/// Per-operation span summary, surfaced opt-in on the read/write result
-/// path (MemoryService::read_traced / write_traced) and kept for ops that
-/// cross the slow-op threshold. Pulse / correction / retry figures are
-/// deltas of the shard's counters across the op's execution; on a shard
-/// executing concurrently with the scavenger they are attributions, not
-/// exact isolates.
-struct OpSummary {
-  std::uint64_t block_addr = 0;
-  unsigned shard = 0;
-  bool is_write = false;
-  std::chrono::nanoseconds queue_ns{0};    ///< submit -> execution start
-  std::chrono::nanoseconds execute_ns{0};  ///< shard execution (lock held)
-  std::uint64_t pulses = 0;                ///< SPE pulses the op applied
-  std::uint64_t cells_corrected = 0;       ///< SEC-DED corrections during the op
-  std::uint64_t retries = 0;               ///< read re-senses + write re-programs
-};
 
 }  // namespace spe::runtime

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <map>
 #include <set>
@@ -661,39 +660,7 @@ void BankShard::execute_batch(std::vector<Request> batch) {
   std::lock_guard lock(state_mutex_);
   obs::ShardScope shard_scope(id_);
   for (Request& req : batch) {
-    // Summaries are built from counter deltas across the op, so the
-    // baselines are only sampled when someone will read the result (a
-    // traced submit or an armed slow-op threshold).
-    const bool slow_armed = config_.obs.slow_op_threshold.count() > 0;
-    bool want_summary = slow_armed || req.summary != nullptr;
-    for (const Request::WriteWaiter& waiter : req.write_waiters)
-      want_summary = want_summary || waiter.summary != nullptr;
     const auto exec_start = std::chrono::steady_clock::now();
-    core::Specu::Stats pre_specu;
-    std::uint64_t pre_corrected = 0;
-    std::uint64_t pre_retries = 0;
-    if (want_summary) {
-      pre_specu = specu_stats_locked();
-      pre_corrected = counters_.faults_corrected.load(std::memory_order_relaxed);
-      pre_retries = counters_.read_retries.load(std::memory_order_relaxed) +
-                    counters_.write_retries.load(std::memory_order_relaxed);
-    }
-    const auto summarize = [&](bool is_write,
-                               std::chrono::steady_clock::time_point done) {
-      OpSummary s;
-      s.block_addr = req.block_addr;
-      s.shard = id_;
-      s.is_write = is_write;
-      s.execute_ns = done - exec_start;
-      const core::Specu::Stats post = specu_stats_locked();
-      s.pulses = (post.encrypt_pulses + post.decrypt_pulses) -
-                 (pre_specu.encrypt_pulses + pre_specu.decrypt_pulses);
-      s.cells_corrected =
-          counters_.faults_corrected.load(std::memory_order_relaxed) - pre_corrected;
-      s.retries = counters_.read_retries.load(std::memory_order_relaxed) +
-                  counters_.write_retries.load(std::memory_order_relaxed) - pre_retries;
-      return s;
-    };
     // Stats are recorded before the promise is fulfilled so a client that
     // returns from .get() and immediately snapshots sees its own op counted.
     // Spans close (and record their tick) before set_value too, keeping a
@@ -708,12 +675,6 @@ void BankShard::execute_batch(std::vector<Request> batch) {
         const auto done = std::chrono::steady_clock::now();
         counters_.read_latency.record(done - req.enqueued);
         counters_.reads_completed.fetch_add(1, std::memory_order_relaxed);
-        if (want_summary) {
-          OpSummary s = summarize(false, done);
-          s.queue_ns = exec_start - req.enqueued;
-          if (req.summary) *req.summary = s;
-          note_slow_op(s);
-        }
         req.read_promise.set_value(std::move(data));
       } catch (...) {
         req.read_promise.set_exception(std::current_exception());
@@ -727,18 +688,8 @@ void BankShard::execute_batch(std::vector<Request> batch) {
         const auto done = std::chrono::steady_clock::now();
         counters_.writes_completed.fetch_add(req.write_waiters.size(),
                                              std::memory_order_relaxed);
-        OpSummary s;
-        if (want_summary) {
-          s = summarize(true, done);
-          s.queue_ns = exec_start - req.write_waiters.front().enqueued;
-          note_slow_op(s);
-        }
         for (Request::WriteWaiter& waiter : req.write_waiters) {
           counters_.write_latency.record(done - waiter.enqueued);
-          if (waiter.summary) {
-            s.queue_ns = exec_start - waiter.enqueued;
-            *waiter.summary = s;
-          }
           waiter.promise.set_value();
         }
       } catch (...) {
@@ -749,35 +700,6 @@ void BankShard::execute_batch(std::vector<Request> batch) {
     counters_.note_execute_ns(static_cast<std::uint64_t>(
         (std::chrono::steady_clock::now() - exec_start).count()));
   }
-}
-
-void BankShard::note_slow_op(const OpSummary& summary) {
-  if (config_.obs.slow_op_threshold.count() <= 0 ||
-      summary.execute_ns < config_.obs.slow_op_threshold)
-    return;
-  counters_.slow_ops.fetch_add(1, std::memory_order_relaxed);
-  if (config_.obs.slow_op_capacity > 0) {
-    std::lock_guard lock(slow_mutex_);
-    if (slow_ring_.size() >= config_.obs.slow_op_capacity) slow_ring_.pop_front();
-    slow_ring_.push_back(summary);
-  }
-  if (config_.obs.log_slow_ops) {
-    std::fprintf(stderr,
-                 "[spe] slow %s shard=%u block=%llu exec=%.1fus queue=%.1fus "
-                 "pulses=%llu corrected=%llu retries=%llu\n",
-                 summary.is_write ? "write" : "read", id_,
-                 static_cast<unsigned long long>(summary.block_addr),
-                 static_cast<double>(summary.execute_ns.count()) / 1000.0,
-                 static_cast<double>(summary.queue_ns.count()) / 1000.0,
-                 static_cast<unsigned long long>(summary.pulses),
-                 static_cast<unsigned long long>(summary.cells_corrected),
-                 static_cast<unsigned long long>(summary.retries));
-  }
-}
-
-std::vector<OpSummary> BankShard::slow_ops() const {
-  std::lock_guard lock(slow_mutex_);
-  return {slow_ring_.begin(), slow_ring_.end()};
 }
 
 unsigned BankShard::scavenge(unsigned max_blocks) {
@@ -870,11 +792,6 @@ std::vector<std::uint64_t> BankShard::resident_blocks() const {
   addrs.reserve(memory_.block_count());
   for (const auto& [addr, block] : memory_.blocks()) addrs.push_back(addr);
   return addrs;
-}
-
-double BankShard::encrypted_fraction() const {
-  std::lock_guard lock(state_mutex_);
-  return specu_.encrypted_fraction();
 }
 
 core::Specu::Stats BankShard::specu_stats_locked() const {

@@ -28,7 +28,6 @@
 // or rolling back whatever the journal caught mid-flight.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -157,12 +156,6 @@ public:
   /// migration planner uses this to enumerate what a node actually holds.
   [[nodiscard]] std::vector<std::uint64_t> resident_blocks() const;
 
-  /// The most recent ops whose execute time crossed
-  /// ObsConfig::slow_op_threshold (bounded ring, oldest dropped). Empty
-  /// when the threshold is 0.
-  [[nodiscard]] std::vector<OpSummary> slow_ops() const;
-
-  [[nodiscard]] double encrypted_fraction() const;
   [[nodiscard]] core::Specu::Stats specu_stats() const;
 
   /// Quarantine state of a block (test access; quiesce first).
@@ -237,9 +230,6 @@ private:
   /// retired_stats_ so the exported cipher counters never go backwards.
   void retire_specu_locked(std::unique_ptr<core::Specu>& specu);
   [[nodiscard]] core::Specu::Stats specu_stats_locked() const;
-  /// Slow-op accounting for one executed request: counter, bounded ring,
-  /// optional stderr line. Takes slow_mutex_ (not state_mutex_).
-  void note_slow_op(const OpSummary& summary);
 
   unsigned id_;
   ServiceConfig config_;
@@ -257,9 +247,6 @@ private:
   std::vector<std::uint64_t> restored_crc_corrupt_;  ///< consumed by recover()
   std::function<void(unsigned, const std::string&)> crash_hook_;
   std::uint64_t scrub_cursor_ = 0;  ///< round-robin resume point
-
-  mutable std::mutex slow_mutex_;  ///< guards slow_ring_ (worker vs slow_ops())
-  std::deque<OpSummary> slow_ring_;
 };
 
 }  // namespace spe::runtime

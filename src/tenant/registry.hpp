@@ -8,7 +8,7 @@
 // admission — is atomic, so the hot path never takes a lock here.
 //
 // Tenant 0 is the implicit default/admin domain: it owns every address no
-// other tenant claims, is served to v1–v3 wire clients byte-for-byte
+// other tenant claims, serves wire frames that carry no tenant extension
 // (single-tenant deployments never notice this layer exists), and is
 // allowed to drive admin ops (key rotation) for any tenant.
 
@@ -27,7 +27,7 @@ namespace spe::tenant {
 
 using TenantId = std::uint32_t;
 
-/// The implicit default/admin key domain (v1–v3 clients, unclaimed ranges).
+/// The implicit default/admin key domain (tokenless frames, unclaimed ranges).
 inline constexpr TenantId kDefaultTenant = 0;
 
 enum class QosClass : std::uint8_t { BestEffort = 0, Standard = 1, Premium = 2 };
@@ -88,7 +88,7 @@ public:
 
   // --- wire authentication ------------------------------------------------
 
-  /// Verifies a v4 tenant token (constant-time). The default tenant needs
+  /// Verifies a wire tenant token (constant-time). The default tenant needs
   /// no token; unknown tenants and MAC mismatches fail and are counted.
   [[nodiscard]] bool authenticate(TenantId id, std::uint64_t token,
                                   std::uint64_t request_id,

@@ -1,10 +1,11 @@
 #pragma once
-// Wire-level tenant authentication token (DESIGN.md §15). Wire v4 frames
-// carry `(tenant_id, token)` where the token is a 64-bit MAC binding the
-// tenant's shared secret to the exact request it authenticates: the request
-// id and opcode, both of which sit inside the CRC-covered header. Replaying
-// a captured token against another request id or opcode therefore fails,
-// and a bit-flipped header fails CRC before the token is even checked.
+// Wire-level tenant authentication token (DESIGN.md §15). Frames with the
+// tenant extension carry `(tenant_id, token)` where the token is a 64-bit
+// MAC binding the tenant's shared secret to the exact request it
+// authenticates: the request id and opcode from the frame header. Replaying
+// a captured token against another request id or opcode therefore fails
+// authentication (the header is not CRC-covered; the token is what binds
+// those two fields).
 //
 // The MAC is a keyed mix64 sponge — deliberately *not* a standards-track
 // HMAC (no crypto library in the dependency budget), but with the same

@@ -30,10 +30,6 @@ spe::device::Cell& Crossbar::cell(unsigned flat) {
   if (flat >= cell_count()) throw std::out_of_range("Crossbar::cell");
   return cells_[flat];
 }
-const spe::device::Cell& Crossbar::cell(unsigned flat) const {
-  if (flat >= cell_count()) throw std::out_of_range("Crossbar::cell");
-  return cells_[flat];
-}
 
 void Crossbar::set_all_gates(bool on) {
   for (auto& c : cells_) c.set_gate(on);

@@ -52,7 +52,6 @@ public:
   [[nodiscard]] spe::device::Cell& cell(CellIndex idx);
   [[nodiscard]] const spe::device::Cell& cell(CellIndex idx) const;
   [[nodiscard]] spe::device::Cell& cell(unsigned flat);
-  [[nodiscard]] const spe::device::Cell& cell(unsigned flat) const;
 
   /// Gate control. select_row() is the normal-operation mode (Fig. 3a);
   /// set_all_gates(true) is the sneak-path mode (Fig. 3b).

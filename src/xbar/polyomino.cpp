@@ -52,17 +52,4 @@ std::string render_polyomino(const Polyomino& poly, unsigned rows, unsigned cols
   return out;
 }
 
-std::vector<std::vector<unsigned>> placement_shapes(
-    const std::vector<Polyomino>& polyominoes) {
-  std::vector<std::vector<unsigned>> shapes;
-  shapes.reserve(polyominoes.size());
-  for (const Polyomino& poly : polyominoes) {
-    std::vector<unsigned> cells;
-    for (unsigned flat = 0; flat < poly.mask.size(); ++flat)
-      if (poly.mask[flat]) cells.push_back(flat);
-    shapes.push_back(std::move(cells));
-  }
-  return shapes;
-}
-
 }  // namespace spe::xbar

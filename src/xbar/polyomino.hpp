@@ -37,13 +37,4 @@ struct Polyomino {
 [[nodiscard]] std::string render_polyomino(const Polyomino& poly, unsigned rows,
                                            unsigned cols);
 
-/// Converts extracted polyominoes into the candidate-shape lists consumed
-/// by the placement solvers (ilp/poe_placement.hpp, solve_*_shapes*): entry
-/// p holds the flat indices of the cells polyominoes[p] covers. This is the
-/// bridge for the physically-extracted-shapes ablation — run the same
-/// portfolio over real sneak-path footprints instead of the Table-1
-/// stencil.
-[[nodiscard]] std::vector<std::vector<unsigned>> placement_shapes(
-    const std::vector<Polyomino>& polyominoes);
-
 }  // namespace spe::xbar

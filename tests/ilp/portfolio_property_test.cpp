@@ -187,17 +187,16 @@ TEST(PortfolioProperty, StatusNeverOptimalWithoutProof) {
 }
 
 TEST(PortfolioProperty, TimeBudgetsAreHonouredCooperatively) {
-  // A tight per-member wall-clock budget on a 128x128 model: the run must
-  // come back in the same order of magnitude as the budget (cooperative
-  // deadline checks, not unbounded overshoot), and whatever is reported
-  // must stay truthful. The slack is deliberately generous — CI machines
-  // stall — so this pins "cooperates with the deadline", not a latency SLO.
+  // A budget that has already expired on a 128x128 model: each member must
+  // notice it at its first cooperative check and report truthfully. The
+  // assertions count work, not wall-clock time, so a stalled host cannot
+  // fail them. A sub-nanosecond budget rounds to a deadline of "now".
   const unsigned size = 128;
   const Model model = build_placement_model(all_stencils(size, size), size * size, -1,
                                             static_cast<int>(size * size + 1024), false);
   PortfolioOptions options;
   options.base.seed = 0x7E57;
-  options.base.time_limit_ms = 50.0;
+  options.base.time_limit_ms = 1e-9;
   options.stop_at_first_feasible = false;
   options.schedule = {{BackendKind::LpRounding, options.base},
                       {BackendKind::Grasp, options.base},
@@ -207,7 +206,24 @@ TEST(PortfolioProperty, TimeBudgetsAreHonouredCooperatively) {
   expect_truthful(result, "time budget");
   ASSERT_EQ(result.reports.size(), 3u);
   for (const BackendReport& r : result.reports) {
-    EXPECT_LE(r.elapsed_ms, 50.0 * 40.0) << to_string(r.kind);
+    SCOPED_TRACE(to_string(r.kind));
+    if (r.kind == BackendKind::BranchAndBound) {
+      // B&B checks its deadline every kDeadlineCheckNodes (1024) nodes and
+      // then reports the cut-off: TimeLimit with an incumbent, NoSolution
+      // without one (its greedy start finds none on this model).
+      EXPECT_TRUE(r.status == Solution::Status::TimeLimit ||
+                  r.status == Solution::Status::NoSolution)
+          << to_string(r.status);
+      EXPECT_LE(r.nodes_explored, 1024u);
+      EXPECT_TRUE(r.has_bound) << "the root bound survives a cut-off";
+    } else {
+      // A cut-off heuristic reports TimeLimit with its incumbent or
+      // NoSolution without one; never Feasible, never a bound.
+      EXPECT_TRUE(r.status == Solution::Status::TimeLimit ||
+                  r.status == Solution::Status::NoSolution)
+          << to_string(r.status);
+      EXPECT_FALSE(r.has_bound);
+    }
     if (r.status == Solution::Status::TimeLimit) {
       EXPECT_TRUE(r.found_solution);
     }

@@ -1,9 +1,8 @@
-// Chaos injection + wire v3 resilience tests (src/net): ChaosPolicy
-// determinism and purity, the v3 deadline extension and BUSY status,
-// decoder stream-resync after mid-stream corruption, exhaustive enum
-// to_string round-trips, v1/v2 client interop against a v3 server, and an
-// end-to-end chaotic storm on loopback asserting every failure surfaces
-// typed. Carries both the "net" and "chaos" ctest labels.
+// Chaos injection + wire resilience tests (src/net): ChaosPolicy
+// determinism and purity, the deadline extension and BUSY status, decoder
+// stream-resync after mid-stream corruption, exhaustive enum to_string
+// round-trips, and an end-to-end chaotic storm on loopback asserting every
+// failure surfaces typed. Carries both the "net" and "chaos" ctest labels.
 
 #include "net/chaos.hpp"
 #include "net/client.hpp"
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -100,21 +98,6 @@ TEST(Chaos, DerivedParametersStayInBounds) {
   }
 }
 
-TEST(Chaos, FromEnvParsesRatesAndSeed) {
-  ::setenv("SPE_CHAOS_SEED", "0xBEEF", 1);
-  ::setenv("SPE_CHAOS_DROP", "0.25", 1);
-  ::setenv("SPE_CHAOS_RESET", "2.0", 1);  // clamped to 1
-  const ChaosConfig cfg = ChaosConfig::from_env();
-  EXPECT_EQ(cfg.seed, 0xBEEFu);
-  EXPECT_DOUBLE_EQ(cfg.rates.drop, 0.25);
-  EXPECT_DOUBLE_EQ(cfg.rates.reset, 1.0);
-  EXPECT_TRUE(cfg.enabled());
-  ::unsetenv("SPE_CHAOS_SEED");
-  ::unsetenv("SPE_CHAOS_DROP");
-  ::unsetenv("SPE_CHAOS_RESET");
-  EXPECT_FALSE(ChaosConfig::from_env().enabled());
-}
-
 TEST(Chaos, StatsNoteAndRender) {
   ChaosStats stats;
   stats.note(ChaosAction::Drop);
@@ -162,10 +145,10 @@ TEST(Wire, StatusToStringCoversEveryValidEnumerator) {
     EXPECT_EQ(name.find("unknown"), std::string::npos) << name;
     EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
   }
-  EXPECT_GE(names.size(), 11u) << "v3 must include busy";
+  EXPECT_GE(names.size(), 13u);
 }
 
-// --- wire v3: deadline extension + BUSY -------------------------------------
+// --- deadline extension + BUSY ----------------------------------------------
 
 TEST(Wire, DeadlineExtensionRoundTrips) {
   Frame frame = make_read_request(42, 7);
@@ -177,7 +160,6 @@ TEST(Wire, DeadlineExtensionRoundTrips) {
   decoder.feed(bytes);
   Frame out;
   ASSERT_EQ(decoder.next(out), DecodeStatus::Ok);
-  EXPECT_EQ(out.version, kWireVersion);
   EXPECT_EQ(out.deadline_ms, 1234u);
   std::uint64_t addr = 0;
   WireErrorCode err{};
@@ -185,55 +167,20 @@ TEST(Wire, DeadlineExtensionRoundTrips) {
   EXPECT_EQ(addr, 7u);
 }
 
-TEST(Wire, V2FrameShedsTheDeadlineSilently) {
-  Frame frame = make_read_request(42, 7);
-  frame.version = 2;
-  frame.deadline_ms = 1234;
+TEST(Wire, UnknownFlagBitsAreReservedNonzero) {
   std::vector<std::uint8_t> bytes;
-  append_frame(bytes, frame);
-  EXPECT_EQ(bytes[7], 0) << "v2 flags byte must stay reserved-zero";
-
-  FrameDecoder decoder;
-  decoder.feed(bytes);
-  Frame out;
-  ASSERT_EQ(decoder.next(out), DecodeStatus::Ok);
-  EXPECT_EQ(out.deadline_ms, 0u);
-}
-
-TEST(Wire, NonzeroFlagsRejectedPreV3AndUnknownBitsInV3) {
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    Frame frame = make_ping(1);
-    frame.version = version;
-    std::vector<std::uint8_t> bytes;
-    append_frame(bytes, frame);
-    bytes[7] = kFlagDeadline;  // legal bit, illegal version
+  append_frame(bytes, make_ping(1));
+  for (unsigned bit = 0; bit < 8; ++bit) {
+    const auto flag = static_cast<std::uint8_t>(1u << bit);
+    if ((flag & kKnownFlags) != 0) continue;
+    std::vector<std::uint8_t> flagged = bytes;
+    flagged[7] = flag;
     FrameDecoder decoder;
-    decoder.feed(bytes);
+    decoder.feed(flagged);
     Frame out;
-    ASSERT_EQ(decoder.next(out), DecodeStatus::Error) << unsigned{version};
+    ASSERT_EQ(decoder.next(out), DecodeStatus::Error) << "bit " << bit;
     EXPECT_EQ(decoder.error(), WireErrorCode::ReservedNonzero);
   }
-  {
-    Frame frame = make_ping(1);
-    frame.version = 3;
-    std::vector<std::uint8_t> bytes;
-    append_frame(bytes, frame);
-    bytes[7] = kFlagTenant;  // v4 bit arriving in a v3 frame
-    FrameDecoder decoder;
-    decoder.feed(bytes);
-    Frame out;
-    ASSERT_EQ(decoder.next(out), DecodeStatus::Error);
-    EXPECT_EQ(decoder.error(), WireErrorCode::ReservedNonzero);
-  }
-  Frame frame = make_ping(1);
-  std::vector<std::uint8_t> bytes;
-  append_frame(bytes, frame);
-  bytes[7] = 0x04;  // unknown even in v4
-  FrameDecoder decoder;
-  decoder.feed(bytes);
-  Frame out;
-  ASSERT_EQ(decoder.next(out), DecodeStatus::Error);
-  EXPECT_EQ(decoder.error(), WireErrorCode::ReservedNonzero);
 }
 
 TEST(Wire, DeadlineFlagWithShortPayloadIsBadPayload) {
@@ -249,7 +196,7 @@ TEST(Wire, DeadlineFlagWithShortPayloadIsBadPayload) {
       << "flag promises bytes the frame does not carry";
 }
 
-TEST(Wire, BusyResponseRoundTripsAndIsV3Only) {
+TEST(Wire, BusyResponseRoundTrips) {
   const Frame request = make_read_request(9, 1);
   const Frame busy = make_busy_response(request, 250, "queue full");
   EXPECT_EQ(busy.status, Status::Busy);
@@ -265,10 +212,6 @@ TEST(Wire, BusyResponseRoundTripsAndIsV3Only) {
   WireErrorCode err{};
   ASSERT_TRUE(parse_busy_response(out, retry_after, err));
   EXPECT_EQ(retry_after, 250u);
-
-  EXPECT_TRUE(status_valid(static_cast<std::uint8_t>(Status::Busy), 3));
-  EXPECT_FALSE(status_valid(static_cast<std::uint8_t>(Status::Busy), 2));
-  EXPECT_FALSE(status_valid(static_cast<std::uint8_t>(Status::Moved), 1));
 }
 
 // --- decoder stream resync --------------------------------------------------
@@ -304,45 +247,6 @@ TEST(Wire, MidStreamCorruptionPoisonsAndReconnectRecovers) {
   ASSERT_EQ(fresh.next(out), DecodeStatus::Ok);
   EXPECT_EQ(out.request_id, 3u);
   EXPECT_EQ(fresh.finish(), WireErrorCode::None);
-}
-
-// --- v1/v2 interop against the v3 server ------------------------------------
-
-TEST(ChaosServer, V1AndV2ClientsInteropAgainstV3Server) {
-  runtime::MemoryService service(small_service_config());
-  Server server(service, {});
-  const std::uint16_t port = server.start();
-  Client client({.port = port});
-  client.connect();
-
-  std::vector<std::uint8_t> data(service.block_bytes());
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint8_t>(i * 3 + 1);
-
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    Frame write = make_write_request(0, 5, data);
-    write.version = version;
-    Frame reply = client.call(write);
-    EXPECT_EQ(reply.status, Status::Ok) << unsigned{version};
-    EXPECT_EQ(reply.version, version) << "server must echo the request version";
-
-    Frame read = make_read_request(0, 5);
-    read.version = version;
-    read.deadline_ms = 50;  // sheds silently for v1/v2 — peers can't carry it
-    reply = client.call(read);
-    EXPECT_EQ(reply.status, Status::Ok) << unsigned{version};
-    EXPECT_EQ(reply.version, version);
-    EXPECT_EQ(reply.payload, data);
-  }
-
-  // A v3 frame with a deadline still round-trips against the same server.
-  Frame read = make_read_request(0, 5);
-  read.deadline_ms = 5'000;
-  const Frame reply = client.call(read);
-  EXPECT_EQ(reply.status, Status::Ok);
-  EXPECT_EQ(reply.payload, data);
-  server.stop();
-  service.stop();
 }
 
 // --- end-to-end chaotic storm -----------------------------------------------

@@ -1,6 +1,6 @@
 // Client-side resilience primitives (src/net/resilience) plus the server's
 // deadline-aware load shedding: deterministic jittered backoff, the
-// circuit-breaker state machine, and BUSY shedding when a v3 frame's
+// circuit-breaker state machine, and BUSY shedding when a frame's
 // declared deadline is already smaller than the shard's expected queue
 // wait. Carries both the "net" and "chaos" ctest labels.
 
@@ -238,7 +238,7 @@ TEST(Resilience, ServerShedsBusyWhenQueueWaitExceedsDeadline) {
   service.stop();
 }
 
-// A v3 frame with a generous deadline sails through untouched.
+// A frame with a generous deadline sails through untouched.
 TEST(Resilience, GenerousDeadlineIsNotShed) {
   runtime::ServiceConfig service_cfg;
   service_cfg.shards = 2;

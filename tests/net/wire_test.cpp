@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace spe::net {
@@ -108,16 +109,9 @@ TEST(WireCodec, BitFlipCorpusYieldsTypedErrors) {
       if (byte < 4) {  // magic
         ASSERT_EQ(status, DecodeStatus::Error);
         EXPECT_EQ(decoder.error(), WireErrorCode::BadMagic);
-      } else if (byte == 4) {  // version: another served version or typed
-        if (status == DecodeStatus::Ok) {
-          EXPECT_NE(f.version, original.version);
-          EXPECT_GE(f.version, kMinWireVersion);
-          EXPECT_LE(f.version, kWireVersion);
-          EXPECT_EQ(f.payload, original.payload);
-        } else {
-          ASSERT_EQ(status, DecodeStatus::Error);
-          EXPECT_EQ(decoder.error(), WireErrorCode::BadVersion);
-        }
+      } else if (byte == 4) {  // version: only kWireVersion is served
+        ASSERT_EQ(status, DecodeStatus::Error);
+        EXPECT_EQ(decoder.error(), WireErrorCode::BadVersion);
       } else if (byte == 5) {  // opcode: either another valid opcode or typed
         if (status == DecodeStatus::Ok) {
           EXPECT_NE(f.opcode, original.opcode);
@@ -180,7 +174,7 @@ TEST(WireCodec, BitFlipCorpusYieldsTypedErrors) {
   }
 }
 
-// --- wire v4: tenant extension ----------------------------------------------
+// --- tenant extension -------------------------------------------------------
 
 TEST(WireCodec, TenantExtensionRoundTrips) {
   Frame frame = make_read_request(77, 0x1234);
@@ -192,7 +186,6 @@ TEST(WireCodec, TenantExtensionRoundTrips) {
   decoder.feed(bytes.data(), bytes.size());
   Frame out;
   ASSERT_EQ(decoder.next(out), DecodeStatus::Ok);
-  EXPECT_EQ(out.version, kWireVersion);
   ASSERT_TRUE(out.has_tenant);
   EXPECT_EQ(out.tenant_id, 42u);
   EXPECT_EQ(out.tenant_token, 0xFEEDFACECAFEBEEFULL);
@@ -226,46 +219,76 @@ TEST(WireCodec, TenantAndDeadlineExtensionsComposeInOrder) {
             std::vector<std::uint8_t>(64, 0x3C));
 }
 
-// Legacy interop: attaching a tenant to a pre-v4 frame must not change a
-// single encoded byte — v1–v3 clients keep talking the exact old wire and
-// are served as the default tenant.
-TEST(WireCodec, PreV4EncodingsAreByteIdenticalWithOrWithoutTenant) {
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2},
-                                     std::uint8_t{3}}) {
-    Frame bare = make_read_request(11, 0xBEEF);
-    bare.version = version;
-    Frame tagged = bare;
-    attach_tenant(tagged, 5, 0x1111111111111111ULL);
-    EXPECT_EQ(encode_frame(bare), encode_frame(tagged))
-        << "v" << unsigned{version};
+// --- one frame format --------------------------------------------------------
 
+// The decoder serves kWireVersion only: every other version byte is refused
+// on the first five bytes, before the rest of the header arrives.
+TEST(WireCodec, EveryOtherVersionByteIsBadVersion) {
+  const std::vector<std::uint8_t> stream = encode_frame(make_ping(1));
+  for (unsigned version = 0; version < 256; ++version) {
+    if (version == kWireVersion) continue;
     FrameDecoder decoder;
-    const std::vector<std::uint8_t> bytes = encode_frame(tagged);
-    decoder.feed(bytes.data(), bytes.size());
+    std::vector<std::uint8_t> prologue(stream.begin(), stream.begin() + 5);
+    prologue[4] = static_cast<std::uint8_t>(version);
+    decoder.feed(prologue);
     Frame out;
-    ASSERT_EQ(decoder.next(out), DecodeStatus::Ok);
-    EXPECT_FALSE(out.has_tenant);
-    EXPECT_EQ(out.tenant_id, 0u);
+    ASSERT_EQ(decoder.next(out), DecodeStatus::Error) << "version " << version;
+    EXPECT_EQ(decoder.error(), WireErrorCode::BadVersion) << "version " << version;
   }
 }
 
-// A flagless v4 frame differs from its v3 encoding in exactly one byte (the
-// version), so pre-tenant servers and captures stay diffable.
-TEST(WireCodec, FlaglessV4DiffersFromV3OnlyInVersionByte) {
-  Frame v3 = make_ping(123);
-  v3.version = 3;
-  Frame v4 = make_ping(123);
-  v4.version = 4;
-  const std::vector<std::uint8_t> a = encode_frame(v3);
-  const std::vector<std::uint8_t> b = encode_frame(v4);
-  ASSERT_EQ(a.size(), b.size());
-  std::size_t diffs = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i] != b[i]) {
-      EXPECT_EQ(i, 4u) << "only the version byte may differ";
-      ++diffs;
-    }
-  EXPECT_EQ(diffs, 1u);
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// Pinned encodings: any change to the header, the extension order or the
+// CRC coverage shows up here as a byte diff.
+TEST(WireCodec, EncodingsMatchPinnedBytes) {
+  std::vector<std::uint8_t> data(16);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(0x10 + i);
+
+  EXPECT_EQ(hex(encode_frame(make_read_request(0x0102030405060708ULL,
+                                               0x1122334455667788ULL))),
+            "53505731040200000807060504030201080000002ef1341d8877665544332211");
+  EXPECT_EQ(hex(encode_frame(make_write_request(7, 0x40, data))),
+            "5350573104030000070000000000000018000000a786019d4000000000000000"
+            "101112131415161718191a1b1c1d1e1f");
+
+  Frame deadline = make_read_request(9, 0x40);
+  deadline.deadline_ms = 250;
+  EXPECT_EQ(hex(encode_frame(deadline)),
+            "5350573104020001090000000000000010000000796d0eb2fa00000000000000"
+            "4000000000000000");
+
+  Frame tenant = make_read_request(10, 0x40);
+  attach_tenant(tenant, 3, 0xA1B2C3D4E5F60718ULL);
+  EXPECT_EQ(hex(encode_frame(tenant)),
+            "53505731040200020a0000000000000014000000636891bb030000001807f6e5"
+            "d4c3b2a14000000000000000");
+
+  Frame both = make_write_request(11, 0x80, data);
+  both.deadline_ms = 1000;
+  attach_tenant(both, 5, 0x0123456789ABCDEFULL);
+  EXPECT_EQ(hex(encode_frame(both)),
+            "53505731040300030b000000000000002c00000028930d32e803000000000000"
+            "05000000efcdab89674523018000000000000000101112131415161718191a1b"
+            "1c1d1e1f");
+
+  EXPECT_EQ(hex(encode_frame(
+                make_busy_response(make_read_request(12, 0x40), 25, "queue full"))),
+            "5350573104020a000c000000000000001200000086089c6c1900000000000000"
+            "71756575652066756c6c");
+
+  const std::uint8_t owner[] = {1, 2, 3, 4, 5};
+  EXPECT_EQ(hex(encode_frame(make_moved_response(Opcode::Write, 13, owner))),
+            "53505731040309000d0000000000000005000000f4990b470102030405");
 }
 
 TEST(WireCodec, TenantFlagWithShortPayloadIsBadPayload) {

@@ -25,7 +25,7 @@ TEST(ServiceStats, AggregateOfEmptyShardListIsAllZero) {
   EXPECT_EQ(snap.total_ops(), 0u);
   EXPECT_EQ(snap.totals.reads_completed, 0u);
   EXPECT_EQ(snap.totals.faults_detected, 0u);
-  EXPECT_EQ(snap.totals.slow_ops, 0u);
+  EXPECT_EQ(snap.totals.blocks_scrubbed, 0u);
   EXPECT_EQ(snap.totals.queue_high_water, 0u);
   EXPECT_EQ(snap.totals.read_latency.count, 0u);
   // And the report still renders.
@@ -37,16 +37,16 @@ TEST(ServiceStats, AggregateSumsPerShardRowsAndKeepsThem) {
   a.shard = 0;
   a.reads_completed = 10;
   a.writes_completed = 4;
-  a.slow_ops = 2;
+  a.blocks_scrubbed = 2;
   ShardStatsSnapshot b;
   b.shard = 1;
   b.reads_completed = 5;
   b.writes_completed = 6;
-  b.slow_ops = 1;
+  b.blocks_scrubbed = 1;
   const ServiceStatsSnapshot snap = aggregate({a, b});
   EXPECT_EQ(snap.totals.reads_completed, 15u);
   EXPECT_EQ(snap.totals.writes_completed, 10u);
-  EXPECT_EQ(snap.totals.slow_ops, 3u);
+  EXPECT_EQ(snap.totals.blocks_scrubbed, 3u);
   EXPECT_EQ(snap.total_ops(), 25u);
   ASSERT_EQ(snap.shards.size(), 2u);
   EXPECT_EQ(snap.shards[0].reads_completed, 10u);
@@ -83,7 +83,7 @@ TEST(ServiceStats, SnapshotCountersCopiesEveryField) {
   ShardCounters counters;
   counters.reads_completed.store(3);
   counters.writes_coalesced.store(5);
-  counters.slow_ops.store(2);
+  counters.blocks_scrubbed.store(2);
   counters.note_queue_depth(9);
   counters.note_queue_depth(4);  // high water keeps the max
   counters.read_latency.record(std::chrono::nanoseconds(100));
@@ -91,7 +91,7 @@ TEST(ServiceStats, SnapshotCountersCopiesEveryField) {
   EXPECT_EQ(snap.shard, 7u);
   EXPECT_EQ(snap.reads_completed, 3u);
   EXPECT_EQ(snap.writes_coalesced, 5u);
-  EXPECT_EQ(snap.slow_ops, 2u);
+  EXPECT_EQ(snap.blocks_scrubbed, 2u);
   EXPECT_EQ(snap.queue_high_water, 9u);
   EXPECT_EQ(snap.read_latency.count, 1u);
 }
@@ -146,7 +146,7 @@ TEST(ServiceStats, TotalsNeverGoBackwardsAcrossSnapshotsUnderLoad) {
         c->reads_completed.fetch_add(1, std::memory_order_relaxed);
         c->writes_completed.fetch_add(2, std::memory_order_relaxed);
         c->faults_detected.fetch_add(1, std::memory_order_relaxed);
-        c->slow_ops.fetch_add(1, std::memory_order_relaxed);
+        c->blocks_scrubbed.fetch_add(1, std::memory_order_relaxed);
         c->read_latency.record(std::chrono::nanoseconds(64));
       }
     });
@@ -159,20 +159,13 @@ TEST(ServiceStats, TotalsNeverGoBackwardsAcrossSnapshotsUnderLoad) {
     ASSERT_GE(snap.totals.reads_completed, last.totals.reads_completed);
     ASSERT_GE(snap.totals.writes_completed, last.totals.writes_completed);
     ASSERT_GE(snap.totals.faults_detected, last.totals.faults_detected);
-    ASSERT_GE(snap.totals.slow_ops, last.totals.slow_ops);
+    ASSERT_GE(snap.totals.blocks_scrubbed, last.totals.blocks_scrubbed);
     ASSERT_GE(snap.totals.read_latency.count, last.totals.read_latency.count);
     ASSERT_GE(snap.total_ops(), last.total_ops());
     last = snap;
   }
   stop.store(true);
   for (auto& w : writers) w.join();
-}
-
-TEST(ServiceStats, ToStringReportsSlowOps) {
-  ShardStatsSnapshot a;
-  a.slow_ops = 4;
-  const ServiceStatsSnapshot snap = aggregate({a});
-  EXPECT_NE(snap.to_string().find("slow=4"), std::string::npos);
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(TenantRegistry, AuthenticatesWireTokens) {
   EXPECT_FALSE(reg.authenticate(1, good, 8, 2));
   EXPECT_FALSE(reg.authenticate(1, good, 7, 3));
   EXPECT_FALSE(reg.authenticate(2, good, 7, 2));  // unknown tenant fails closed
-  // The default domain needs no token (v1-v3 compatibility).
+  // The default domain needs no token (frames without the tenant extension).
   EXPECT_TRUE(reg.authenticate(kDefaultTenant, 0, 1, 1));
   // Failures against a known tenant are counted.
   EXPECT_GE(reg.counters(1).auth_failures.load(), 3u);
