@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,7 +41,6 @@ namespace {
 
 using spe::runtime::MemoryService;
 using spe::runtime::ServiceConfig;
-using spe::runtime::ServiceStatsSnapshot;
 
 struct FaultPoint {
   const char* label;
@@ -61,7 +61,7 @@ struct Outcome {
   std::uint64_t replayed = 0;
   std::uint64_t rolled_back = 0;
   std::uint64_t torn = 0;
-  ServiceStatsSnapshot stats;
+  std::unique_ptr<spe::obs::MetricsRegistry> stats;  ///< filled after the read pass
   std::string metrics;  ///< Prometheus export taken before shutdown
 };
 
@@ -118,7 +118,8 @@ Outcome run_point(const FaultPoint& point, bool ecc, unsigned blocks,
       ++out.reads_failed;
     }
   }
-  out.stats = service.stats();
+  out.stats = std::make_unique<spe::obs::MetricsRegistry>();
+  service.fill_metrics(*out.stats);
 
   // Crash probes: interrupt one rewrite mid-flight and one decrypting read
   // mid-flight, restore a fresh service from each kill-point snapshot (plus
@@ -204,7 +205,11 @@ int main() {
     for (const bool ecc : {true, false}) {
       const Outcome o = run_point(p, ecc, blocks, scrubs, seed);
       last_metrics = o.metrics;
-      const auto& t = o.stats.totals;
+      const auto total = [&o](const char* name) {
+        return o.stats->at<spe::obs::Counter>(name).value();
+      };
+      const auto quarantined = static_cast<std::uint64_t>(
+          o.stats->at<spe::obs::Gauge>("spe_quarantined_blocks").value());
       const double reads =
           static_cast<double>(o.reads_ok + o.reads_silent + o.reads_failed);
       if (ecc)
@@ -214,14 +219,15 @@ int main() {
       table.add_row({p.label, ecc ? "on" : "off",
                      pct(static_cast<double>(o.reads_ok + o.reads_silent), reads),
                      std::to_string(o.reads_silent),
-                     std::to_string(t.faults_detected),
-                     std::to_string(t.faults_corrected),
-                     std::to_string(t.faults_uncorrectable),
-                     std::to_string(t.quarantined_now),
-                     std::to_string(t.blocks_remapped),
-                     std::to_string(t.read_retries + t.write_retries),
-                     std::to_string(t.blocks_scrubbed),
-                     std::to_string(t.injected_faults),
+                     std::to_string(total("spe_faults_detected_total")),
+                     std::to_string(total("spe_faults_corrected_total")),
+                     std::to_string(total("spe_faults_uncorrectable_total")),
+                     std::to_string(quarantined),
+                     std::to_string(total("spe_blocks_remapped_total")),
+                     std::to_string(total("spe_read_retries_total") +
+                                    total("spe_write_retries_total")),
+                     std::to_string(total("spe_blocks_scrubbed_total")),
+                     std::to_string(total("spe_injected_faults_total")),
                      std::to_string(o.replayed), std::to_string(o.rolled_back),
                      std::to_string(o.torn)});
     }

@@ -50,12 +50,12 @@
 #include "bench_util.hpp"
 #include "cluster/cluster_client.hpp"
 #include "net/client.hpp"
-#include "runtime/latency_histogram.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using spe::runtime::LatencyHistogram;
+using spe::obs::Histogram;
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -99,7 +99,7 @@ struct WorkerStats {
   std::uint64_t corruptions = 0;   ///< read payload != expected image
   std::uint64_t bad_status = 0;    ///< any non-Ok response
   std::uint64_t unknown_ids = 0;   ///< response id we never sent
-  LatencyHistogram::Snapshot latency;
+  Histogram::Snapshot latency;
   std::string error;               ///< fatal exception, empty = clean
   spe::cluster::ClusterClient::Stats cluster;  ///< cluster mode only
 };
@@ -114,7 +114,7 @@ struct Inflight {
 /// One connection: warm-write the stripe, then run the closed/open loop.
 WorkerStats run_worker(const WorkerConfig& cfg) {
   WorkerStats stats;
-  LatencyHistogram latency;
+  Histogram latency;
   try {
     spe::net::Client client({.host = cfg.host, .port = cfg.port});
     client.connect();
@@ -231,7 +231,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
 /// nodes internally, so any exception that escapes is a real failure.
 WorkerStats run_cluster_worker(const WorkerConfig& cfg) {
   WorkerStats stats;
-  LatencyHistogram latency;
+  Histogram latency;
   std::optional<spe::cluster::ClusterClient> maybe_client;
   try {
     spe::cluster::ClusterClientConfig ccfg;
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - start).count();
 
   WorkerStats total;
-  LatencyHistogram::Snapshot merged;
+  Histogram::Snapshot merged;
   unsigned failed_workers = 0;
   for (unsigned c = 0; c < connections; ++c) {
     const WorkerStats& s = stats[c];

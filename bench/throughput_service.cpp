@@ -37,6 +37,7 @@
 #include <deque>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,17 @@ namespace {
 
 using spe::runtime::MemoryService;
 using spe::runtime::ServiceConfig;
-using spe::runtime::ServiceStatsSnapshot;
+using spe::obs::MetricsRegistry;
+
+std::uint64_t total(const MetricsRegistry& m, const char* name) {
+  return m.at<spe::obs::Counter>(name).value();
+}
+std::uint64_t total_ops(const MetricsRegistry& m) {
+  return total(m, "spe_reads_total") + total(m, "spe_writes_total");
+}
+spe::obs::Histogram::Snapshot latency(const MetricsRegistry& m, const char* name) {
+  return m.at<spe::obs::Histogram>(name).snapshot();
+}
 
 struct TraceOp {
   std::uint64_t block = 0;
@@ -78,8 +89,7 @@ struct RunResult {
   double seconds = 0.0;
   double ops_per_sec = 0.0;
   unsigned block_bytes = 0;
-  ServiceStatsSnapshot stats;
-  std::string metrics;  ///< Prometheus export taken before shutdown
+  std::unique_ptr<MetricsRegistry> metrics;  ///< filled before shutdown
 };
 
 RunResult replay(const std::vector<TraceOp>& trace, unsigned workers, unsigned shards,
@@ -121,12 +131,11 @@ RunResult replay(const std::vector<TraceOp>& trace, unsigned workers, unsigned s
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   RunResult result;
-  result.stats = service.stats();
+  result.metrics = std::make_unique<MetricsRegistry>();
+  service.fill_metrics(*result.metrics);
   result.block_bytes = block_bytes;
   result.seconds = std::chrono::duration<double>(elapsed).count();
-  result.ops_per_sec =
-      static_cast<double>(result.stats.total_ops()) / result.seconds;
-  result.metrics = service.export_metrics();
+  result.ops_per_sec = static_cast<double>(total_ops(*result.metrics)) / result.seconds;
   service.stop();
   return result;
 }
@@ -201,15 +210,17 @@ spe::benchutil::LatencyRow sweep_run(const std::vector<TraceOp>& trace,
   for (auto& f : reads) (void)f.get();
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
-  const ServiceStatsSnapshot stats = service.stats();
+  MetricsRegistry metrics;
+  service.fill_metrics(metrics);
   service.stop();
+  const auto read_latency = latency(metrics, "spe_read_latency_ns");
   spe::benchutil::LatencyRow row;
   row.batch = batch;
-  row.ops_per_sec = static_cast<double>(stats.total_ops()) /
+  row.ops_per_sec = static_cast<double>(total_ops(metrics)) /
                     std::chrono::duration<double>(elapsed).count();
-  row.p50_us = us(stats.totals.read_latency.p50());
-  row.p95_us = us(stats.totals.read_latency.p95());
-  row.p99_us = us(stats.totals.read_latency.p99());
+  row.p50_us = us(read_latency.p50());
+  row.p95_us = us(read_latency.p95());
+  row.p99_us = us(read_latency.p99());
   return row;
 }
 
@@ -241,7 +252,7 @@ int run_smoke(const std::vector<TraceOp>& trace, unsigned window) {
     const RunResult on = replay(trace, 2, 4, window, /*tracing=*/true);
     if (round == 0 || off.seconds < min_off) min_off = off.seconds;
     if (round == 0 || on.seconds < min_on) min_on = on.seconds;
-    metrics = on.metrics;
+    metrics = on.metrics->render(spe::obs::MetricsFormat::Prometheus);
   }
   spe::obs::Tracer::instance().disable();
   const double overhead_pct =
@@ -319,22 +330,22 @@ int main(int argc, char** argv) {
   best.source = "throughput_service";
   for (const Config& c : configs) {
     const RunResult r = replay(trace, c.workers, c.shards, window);
-    last_metrics = r.metrics;
+    const auto rd = latency(*r.metrics, "spe_read_latency_ns");
+    const auto wr = latency(*r.metrics, "spe_write_latency_ns");
+    last_metrics = r.metrics->render(spe::obs::MetricsFormat::Prometheus);
     block_bytes = r.block_bytes;
     if (r.ops_per_sec > best.ops_per_sec) {
       best.config = std::to_string(c.workers) + "w/" + std::to_string(c.shards) +
                     "s window=" + std::to_string(window) + " workload=" + workload;
-      best.ops = r.stats.total_ops();
+      best.ops = total_ops(*r.metrics);
       best.ops_per_sec = r.ops_per_sec;
       best.bytes_per_cycle =
           spe::benchutil::bytes_per_cycle(r.ops_per_sec, r.block_bytes);
-      best.p50_us = us(r.stats.totals.read_latency.p50());
-      best.p95_us = us(r.stats.totals.read_latency.p95());
-      best.p99_us = us(r.stats.totals.read_latency.p99());
+      best.p50_us = us(rd.p50());
+      best.p95_us = us(rd.p95());
+      best.p99_us = us(rd.p99());
     }
     if (base_ops_per_sec == 0.0) base_ops_per_sec = r.ops_per_sec;
-    const auto& rd = r.stats.totals.read_latency;
-    const auto& wr = r.stats.totals.write_latency;
     table.add_row({std::to_string(c.workers), std::to_string(c.shards),
                    spe::util::Table::fmt(r.ops_per_sec / 1000.0, 2),
                    spe::util::Table::fmt(r.ops_per_sec / base_ops_per_sec, 2),
@@ -344,8 +355,9 @@ int main(int argc, char** argv) {
                    spe::util::Table::fmt(us(wr.p50()), 1),
                    spe::util::Table::fmt(us(wr.p95()), 1),
                    spe::util::Table::fmt(us(wr.p99()), 1),
-                   std::to_string(r.stats.totals.writes_coalesced),
-                   std::to_string(r.stats.totals.queue_high_water)});
+                   std::to_string(total(*r.metrics, "spe_writes_coalesced_total")),
+                   std::to_string(static_cast<std::uint64_t>(
+                       r.metrics->at<spe::obs::Gauge>("spe_queue_high_water").value()))});
   }
   table.print();
   std::printf(

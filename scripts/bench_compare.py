@@ -10,6 +10,16 @@ throughput regresses more than the tolerance against the checked-in baseline:
                      --schema scripts/bench_throughput.schema.json \
                      [--tolerance 10] [--validate-only]
 
+Same-job mode (the CI gate): parent and change are built and run
+alternately on one host, and the gate fails only when the change's median
+ops_per_sec falls below the parent's median by more than
+max(tolerance, the parent runs' own interquartile range as a percent of
+their median):
+
+    bench_compare.py --schema scripts/bench_throughput.schema.json \
+                     --baseline-runs parent-*.json --current-runs change-*.json \
+                     --tolerance 2
+
 Exit codes: 0 ok (improvement, within tolerance, or baseline missing — a new
 checkout has nothing to regress against), 1 regression or invalid file,
 2 usage error. Tolerance is percent (default 10, env SPE_BENCH_TOLERANCE).
@@ -23,6 +33,7 @@ cannot silently stop validating.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 _TYPES = {
@@ -115,10 +126,55 @@ def compare_throughput(current, baseline, tolerance_pct):
     return True, msg
 
 
+MIN_PAIRED_RUNS = 5
+
+
+def compare_paired(current_runs, baseline_runs, tolerance_pct):
+    """Returns (ok, message) for same-job parent/change runs of ops_per_sec.
+
+    The noise band is the parent's own interquartile range relative to its
+    median, floored at tolerance_pct: a noisy host widens the band, a quiet
+    one never narrows it below the floor.
+    """
+    base = [r["ops_per_sec"] for r in baseline_runs]
+    cur = [r["ops_per_sec"] for r in current_runs]
+    base_med = statistics.median(base)
+    cur_med = statistics.median(cur)
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    iqr_pct = (q3 - q1) / base_med * 100.0
+    band_pct = max(tolerance_pct, iqr_pct)
+    delta_pct = (cur_med - base_med) / base_med * 100.0
+    msg = ("median ops_per_sec %.1f (parent, %d runs, IQR %.1f%%) -> %.1f "
+           "(change, %d runs): %+.1f%%, band -%.1f%%" % (
+               base_med, len(base), iqr_pct, cur_med, len(cur), delta_pct,
+               band_pct))
+    if delta_pct < -band_pct:
+        return False, "REGRESSION: " + msg
+    return True, msg
+
+
+def load_runs(paths, schema, what):
+    """Loads and schema-checks every run file; None when one is invalid."""
+    runs = []
+    for path in paths:
+        run = load_json(path, what)
+        errors = validate(run, schema)
+        if errors:
+            print("bench_compare: %s %s fails schema:" % (what, path))
+            for err in errors:
+                print("  " + err)
+            return None
+        runs.append(run)
+    return runs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--current", required=True,
-                        help="JSON produced by this run")
+    parser.add_argument("--current", help="JSON produced by this run")
+    parser.add_argument("--current-runs", nargs="+", metavar="JSON",
+                        help="same-job runs of the change (with --baseline-runs)")
+    parser.add_argument("--baseline-runs", nargs="+", metavar="JSON",
+                        help="same-job runs of the parent commit")
     parser.add_argument("--baseline",
                         help="checked-in reference JSON (throughput compare)")
     parser.add_argument("--schema", required=True,
@@ -131,8 +187,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.tolerance < 0:
         parser.error("--tolerance must be >= 0")
+    paired = args.current_runs is not None or args.baseline_runs is not None
+    if paired == (args.current is not None):
+        parser.error("give either --current or --current-runs/--baseline-runs")
 
     schema = load_json(args.schema, "schema")
+    if paired:
+        if (len(args.current_runs or []) < MIN_PAIRED_RUNS or
+                len(args.baseline_runs or []) < MIN_PAIRED_RUNS):
+            parser.error("same-job mode needs at least %d runs of each side"
+                         % MIN_PAIRED_RUNS)
+        current_runs = load_runs(args.current_runs, schema, "change run")
+        baseline_runs = load_runs(args.baseline_runs, schema, "parent run")
+        if current_runs is None or baseline_runs is None:
+            return 1
+        ok, message = compare_paired(current_runs, baseline_runs, args.tolerance)
+        print("bench_compare: " + message)
+        return 0 if ok else 1
+
     current = load_json(args.current, "current report")
 
     errors = validate(current, schema)

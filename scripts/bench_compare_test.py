@@ -2,7 +2,8 @@
 """Unit tests for scripts/bench_compare.py (ctest label: bench).
 
 Covers the satellite cases: missing baseline (ok), improvement (ok),
-regression beyond tolerance (fail), schema validation of both bench file
+regression beyond tolerance (fail), the same-job parent/change gate (IQR
+noise band floored at the tolerance), schema validation of both bench file
 shapes, and the validator subset itself.
 """
 
@@ -120,6 +121,45 @@ class BenchCompareTest(unittest.TestCase):
         current = self.write("current.json", throughput_report(100.0))
         baseline = self.write("baseline.json", {"schema": "nope"})
         self.assertEqual(self.run_compare(current, baseline), 0)
+
+    # --- same-job parent/change gate ------------------------------------------
+
+    def run_paired(self, parent, change, tolerance="2"):
+        argv = ["--schema", THROUGHPUT_SCHEMA, "--tolerance", tolerance,
+                "--baseline-runs"]
+        argv += [self.write("parent-%d.json" % i, throughput_report(v))
+                 for i, v in enumerate(parent)]
+        argv += ["--current-runs"]
+        argv += [self.write("change-%d.json" % i, throughput_report(v))
+                 for i, v in enumerate(change)]
+        return bench_compare.main(argv)
+
+    def test_paired_quiet_parent_keeps_the_tolerance_floor(self):
+        parent = [10000.0, 10010.0, 9990.0, 10005.0, 9995.0]  # IQR 0.1%
+        self.assertEqual(self.run_paired(parent, [9850.0] * 5), 0)   # -1.5%
+        self.assertEqual(self.run_paired(parent, [9700.0] * 5), 1)   # -3%
+
+    def test_paired_noisy_parent_widens_the_band_to_its_iqr(self):
+        parent = [9000.0, 9500.0, 10000.0, 10500.0, 11000.0]  # IQR 10%
+        self.assertEqual(self.run_paired(parent, [9200.0] * 5), 0)   # -8%
+        self.assertEqual(self.run_paired(parent, [8800.0] * 5), 1)   # -12%
+
+    def test_paired_compares_medians_not_single_runs(self):
+        parent = [10000.0] * 5
+        change = [5000.0, 10000.0, 10000.0, 10000.0, 20000.0]
+        self.assertEqual(self.run_paired(parent, change), 0)
+
+    def test_paired_needs_five_runs_each(self):
+        with self.assertRaises(SystemExit):
+            self.run_paired([10000.0] * 4, [10000.0] * 5)
+
+    def test_paired_rejects_an_invalid_run(self):
+        argv = ["--schema", THROUGHPUT_SCHEMA, "--baseline-runs"]
+        argv += [self.write("p%d.json" % i, throughput_report(1e4)) for i in range(5)]
+        argv += ["--current-runs"]
+        argv += [self.write("c%d.json" % i, throughput_report(1e4)) for i in range(4)]
+        argv += [self.write("c4.json", {"schema": "nope"})]
+        self.assertEqual(bench_compare.main(argv), 1)
 
     # --- schema validation ---------------------------------------------------
 

@@ -9,8 +9,8 @@
 namespace spe::core {
 
 namespace {
-// Cross-layer journal transition counters (process-global; exported by
-// MemoryService::export_metrics alongside the per-service snapshot).
+// Cross-layer journal transition counters (process-global; merged into
+// every MemoryService::fill_metrics export next to the shards' own series).
 obs::Counter& begin_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "spe_journal_begin_total", "intent journal begin transitions");

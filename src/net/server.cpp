@@ -1002,8 +1002,7 @@ void Server::fill_metrics(obs::MetricsRegistry& registry) const {
   registry
       .histogram("spe_net_request_latency_ns",
                  "frame receive to response encode, server side")
-      .merge_buckets(s.request_latency.buckets, s.request_latency.count,
-                     s.request_latency.sum_ns);
+      .merge_buckets(s.request_latency);
 }
 
 std::string Server::export_metrics(obs::MetricsFormat format) const {

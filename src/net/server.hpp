@@ -63,7 +63,6 @@
 #include "net/chaos.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/latency_histogram.hpp"
 #include "runtime/memory_service.hpp"
 
 namespace spe::net {
@@ -141,7 +140,7 @@ struct ServerCountersSnapshot {
   std::uint64_t stalled_closed = 0;   ///< output-stall / buffer-cap evictions
   std::uint64_t drain_aborted = 0;    ///< in-flight ops failed typed at drain expiry
   std::uint64_t requests_completed = 0;  ///< responses settled (any status)
-  runtime::LatencyHistogram::Snapshot request_latency;  ///< frame rx -> response settled
+  obs::Histogram::Snapshot request_latency;  ///< frame rx -> response settled
 };
 
 class Server {
@@ -254,7 +253,7 @@ private:
     std::atomic<std::uint64_t> stalled_closed{0};
     std::atomic<std::uint64_t> drain_aborted{0};
     std::atomic<std::uint64_t> requests_completed{0};
-    runtime::LatencyHistogram request_latency;
+    obs::Histogram request_latency;
   };
 
   void event_loop();

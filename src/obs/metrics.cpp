@@ -3,6 +3,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace spe::obs {
 
@@ -98,6 +99,26 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help) 
 Histogram& MetricsRegistry::histogram(const std::string& name, const std::string& help) {
   return *entry(name, help, Kind::Histogram).histogram;
 }
+
+template <typename T>
+const T& MetricsRegistry::at(const std::string& name) const {
+  std::lock_guard lock(mutex_);
+  if (const auto it = entries_.find(name); it != entries_.end()) {
+    const Entry& e = it->second;
+    if constexpr (std::is_same_v<T, Counter>) {
+      if (e.kind == Kind::Counter) return *e.counter;
+    } else if constexpr (std::is_same_v<T, Gauge>) {
+      if (e.kind == Kind::Gauge) return *e.gauge;
+    } else {
+      if (e.kind == Kind::Histogram) return *e.histogram;
+    }
+  }
+  throw std::out_of_range("MetricsRegistry: no instrument of the requested type named '" +
+                          name + "'");
+}
+template const Counter& MetricsRegistry::at<Counter>(const std::string&) const;
+template const Gauge& MetricsRegistry::at<Gauge>(const std::string&) const;
+template const Histogram& MetricsRegistry::at<Histogram>(const std::string&) const;
 
 void MetricsRegistry::write_prometheus(std::ostream& out) const {
   std::lock_guard lock(mutex_);
@@ -209,9 +230,7 @@ void MetricsRegistry::merge_into(MetricsRegistry& dest) const {
       case Kind::Counter: dest.counter(row.name, row.help).add(row.counter); break;
       case Kind::Gauge: dest.gauge(row.name, row.help).set(row.gauge); break;
       case Kind::Histogram:
-        dest.histogram(row.name, row.help)
-            .merge_buckets(row.histogram.buckets, row.histogram.count,
-                           row.histogram.sum);
+        dest.histogram(row.name, row.help).merge_buckets(row.histogram);
         break;
     }
   }

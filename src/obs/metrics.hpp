@@ -1,27 +1,28 @@
 #pragma once
 // Named metrics for the SPE stack: monotonic counters, gauges, and
-// power-of-two histograms behind a registry with deterministic (sorted)
-// Prometheus-text and JSON export. Instruments are created once and live
-// for the registry's lifetime — callers cache the returned reference, so
-// the hot path is one relaxed atomic RMW with no map lookup.
+// power-of-two latency histograms behind a registry with deterministic
+// (sorted) Prometheus-text and JSON export. These are the stack's only
+// metric instruments: hot paths record into instruments they own (a bank
+// shard's ShardCounters, the net server's Counters) or cache from a
+// registry, so a counter add is one relaxed atomic RMW with no map lookup.
 //
 // Labels ride inside the metric name ("spe_reads_total{shard=\"0\"}"): the
 // registry sorts full names, and the Prometheus writer emits one HELP/TYPE
 // header per family (the name up to '{'). The process-global registry
 // (MetricsRegistry::global()) collects cross-layer counters (crossbar
 // solves, journal transitions) that have no per-service home; the runtime's
-// MemoryService::export_metrics() builds a fresh registry per call from its
-// stats snapshot and merges those globals in.
+// MemoryService::fill_metrics() reads each shard's instruments into a
+// caller's registry and merges those globals in.
 
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,33 +53,49 @@ private:
   std::atomic<double> v_{0.0};
 };
 
-/// Lock-free histogram over the same power-of-two bucket layout as the
-/// runtime's LatencyHistogram (bucket b covers [2^(b-1), 2^b)), so latency
-/// snapshots transplant bucket-for-bucket.
+/// Lock-free latency histogram: 64 power-of-two nanosecond buckets (bucket
+/// b covers [2^(b-1), 2^b) ns) of relaxed atomic counters, so threads record
+/// on the hot path without contending. Quantiles read a snapshot and are
+/// approximate to within one bucket (~2x resolution).
 class Histogram {
 public:
   static constexpr unsigned kBuckets = 64;
 
-  void record(std::uint64_t v) noexcept {
-    buckets_[bucket_for(v)].fetch_add(1, std::memory_order_relaxed);
+  /// Negative durations (a clock read out of order) count as 0 ns.
+  void record(std::chrono::nanoseconds latency) noexcept {
+    const auto ns = latency.count() < 0 ? std::uint64_t{0}
+                                        : static_cast<std::uint64_t>(latency.count());
+    buckets_[bucket_for(ns)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    sum_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// Bulk merge of a pre-bucketed snapshot (e.g. LatencyHistogram::Snapshot
-  /// fields) — bucket layouts must match.
-  void merge_buckets(std::span<const std::uint64_t, kBuckets> buckets,
-                     std::uint64_t count, std::uint64_t sum) noexcept {
-    for (unsigned b = 0; b < kBuckets; ++b)
-      buckets_[b].fetch_add(buckets[b], std::memory_order_relaxed);
-    count_.fetch_add(count, std::memory_order_relaxed);
-    sum_.fetch_add(sum, std::memory_order_relaxed);
-  }
-
+  /// Plain copy of the counters. Each field is its own relaxed load, so a
+  /// snapshot taken under load is consistent only to within in-flight
+  /// records; every field is monotonic across successive snapshots.
   struct Snapshot {
     std::array<std::uint64_t, kBuckets> buckets{};
     std::uint64_t count = 0;
-    std::uint64_t sum = 0;
+    std::uint64_t sum = 0;  ///< ns
+
+    /// Upper edge of the bucket holding the q-quantile sample (q in [0,1]).
+    [[nodiscard]] std::chrono::nanoseconds quantile(double q) const noexcept {
+      if (count == 0) return std::chrono::nanoseconds(0);
+      if (q < 0.0) q = 0.0;
+      if (q > 1.0) q = 1.0;
+      auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
+      for (unsigned b = 0; b < kBuckets; ++b) {
+        if (rank <= buckets[b]) return std::chrono::nanoseconds(upper_edge(b));
+        rank -= buckets[b];
+      }
+      return std::chrono::nanoseconds(upper_edge(kBuckets - 1));
+    }
+    [[nodiscard]] std::chrono::nanoseconds p50() const noexcept { return quantile(0.50); }
+    [[nodiscard]] std::chrono::nanoseconds p95() const noexcept { return quantile(0.95); }
+    [[nodiscard]] std::chrono::nanoseconds p99() const noexcept { return quantile(0.99); }
+    [[nodiscard]] std::chrono::nanoseconds mean() const noexcept {
+      return std::chrono::nanoseconds(count ? sum / count : 0);
+    }
 
     Snapshot& operator+=(const Snapshot& other) noexcept {
       for (unsigned b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
@@ -102,8 +119,17 @@ public:
     return s;
   }
 
-  [[nodiscard]] static unsigned bucket_for(std::uint64_t v) noexcept {
-    return v == 0 ? 0 : static_cast<unsigned>(std::bit_width(v) - 1);
+  /// Adds a snapshot's buckets, count and sum (MetricsRegistry::merge_into,
+  /// and fill_metrics summing per-shard histograms into one total).
+  void merge_buckets(const Snapshot& s) noexcept {
+    for (unsigned b = 0; b < kBuckets; ++b)
+      buckets_[b].fetch_add(s.buckets[b], std::memory_order_relaxed);
+    count_.fetch_add(s.count, std::memory_order_relaxed);
+    sum_.fetch_add(s.sum, std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] static unsigned bucket_for(std::uint64_t ns) noexcept {
+    return ns == 0 ? 0 : static_cast<unsigned>(std::bit_width(ns) - 1);
   }
   [[nodiscard]] static std::uint64_t upper_edge(unsigned bucket) noexcept {
     return bucket >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << (bucket + 1)) - 1;
@@ -143,6 +169,13 @@ public:
   [[nodiscard]] Gauge& gauge(const std::string& name, const std::string& help = "");
   [[nodiscard]] Histogram& histogram(const std::string& name,
                                      const std::string& help = "");
+
+  /// Read-back of an existing instrument (T = Counter, Gauge or Histogram).
+  /// Never creates one: an unknown name, or a name registered as another
+  /// instrument type, throws std::out_of_range, so a misspelled or renamed
+  /// family cannot read back as a vacuous zero.
+  template <typename T>
+  [[nodiscard]] const T& at(const std::string& name) const;
 
   /// Deterministic (name-sorted) export.
   void write_prometheus(std::ostream& out) const;

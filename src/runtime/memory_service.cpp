@@ -29,6 +29,59 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// One exported family per ShardCounters instrument. fill_metrics reads each
+/// shard's instrument once; `per_shard` counter families also carry that
+/// value as a {shard="s"} series, so a total always equals the sum of its
+/// series.
+template <typename Instrument>
+struct Row {
+  const char* name;
+  const char* help;
+  Instrument ShardCounters::*field;
+  bool per_shard = false;
+};
+constexpr Row<obs::Counter> kCounterRows[] = {
+    {"spe_reads_total", "completed read operations", &ShardCounters::reads_completed, true},
+    {"spe_writes_total", "completed write operations (all waiters)",
+     &ShardCounters::writes_completed, true},
+    {"spe_writes_coalesced_total", "write futures satisfied by a merged write",
+     &ShardCounters::writes_coalesced},
+    {"spe_requests_rejected_total", "Reject-policy queue bounces", &ShardCounters::rejected},
+    {"spe_background_encrypted_total", "blocks re-encrypted by the scavenger",
+     &ShardCounters::background_encrypted},
+    {"spe_faults_detected_total", "ECC verify events that found damage",
+     &ShardCounters::faults_detected, true},
+    {"spe_faults_corrected_total", "cells repaired by SEC-DED", &ShardCounters::faults_corrected},
+    {"spe_faults_uncorrectable_total", "ops or scrubs abandoned as uncorrectable",
+     &ShardCounters::faults_uncorrectable},
+    {"spe_blocks_quarantined_total", "quarantine insertions", &ShardCounters::blocks_quarantined},
+    {"spe_blocks_remapped_total", "spare-location remaps", &ShardCounters::blocks_remapped},
+    {"spe_blocks_scrubbed_total", "scrub verifications run", &ShardCounters::blocks_scrubbed},
+    {"spe_read_retries_total", "extra sense attempts after a failed verify",
+     &ShardCounters::read_retries},
+    {"spe_write_retries_total", "extra program attempts after a failed verify",
+     &ShardCounters::write_retries},
+};
+constexpr Row<obs::Histogram> kHistogramRows[] = {
+    {"spe_read_latency_ns", "submit to future-fulfilled read latency",
+     &ShardCounters::read_latency},
+    {"spe_write_latency_ns", "submit to future-fulfilled write latency",
+     &ShardCounters::write_latency},
+    {"spe_background_latency_ns", "one scavenger block re-encryption",
+     &ShardCounters::background_latency},
+};
+
+/// a + b, clamped at uint64 max: totals stay monotonic instead of wrapping.
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) noexcept {
+  return b > std::numeric_limits<std::uint64_t>::max() - a
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
+}
+
+std::string shard_label(unsigned shard) {
+  return "{shard=\"" + std::to_string(shard) + "\"}";
+}
+
 constexpr char kCheckpointMagic[8] = {'S', 'P', 'E', 'S', 'V', 'C', 'K', '1'};
 
 ServiceConfig normalized(ServiceConfig config) {
@@ -453,13 +506,6 @@ std::vector<std::uint64_t> MemoryService::resident_blocks() const {
   return addrs;
 }
 
-ServiceStatsSnapshot MemoryService::stats() const {
-  std::vector<ShardStatsSnapshot> rows;
-  rows.reserve(shards_.size());
-  for (const auto& shard : shards_) rows.push_back(shard->stats_snapshot());
-  return aggregate(std::move(rows));
-}
-
 MemoryService::RotationResult MemoryService::rotate_tenant_key(tenant::TenantId tenant) {
   if (!config_.tenants)
     throw std::logic_error("MemoryService::rotate_tenant_key: no tenant registry");
@@ -502,54 +548,49 @@ unsigned MemoryService::scrub_all() {
 }
 
 void MemoryService::fill_metrics(obs::MetricsRegistry& registry) const {
-  const ServiceStatsSnapshot snap = stats();
   const auto counter = [&registry](const std::string& name, const std::string& help,
                                    std::uint64_t v) { registry.counter(name, help).add(v); };
-  const auto latency = [&registry](const std::string& name, const std::string& help,
-                                   const LatencyHistogram::Snapshot& h) {
-    registry.histogram(name, help).merge_buckets(h.buckets, h.count, h.sum_ns);
-  };
 
-  counter("spe_reads_total", "completed read operations", snap.totals.reads_completed);
-  counter("spe_writes_total", "completed write operations (all waiters)",
-          snap.totals.writes_completed);
-  counter("spe_writes_coalesced_total", "write futures satisfied by a merged write",
-          snap.totals.writes_coalesced);
-  counter("spe_requests_rejected_total", "Reject-policy queue bounces",
-          snap.totals.rejected);
-  counter("spe_background_encrypted_total", "blocks re-encrypted by the scavenger",
-          snap.totals.background_encrypted);
-  counter("spe_faults_detected_total", "ECC verify events that found damage",
-          snap.totals.faults_detected);
-  counter("spe_faults_corrected_total", "cells repaired by SEC-DED",
-          snap.totals.faults_corrected);
-  counter("spe_faults_uncorrectable_total", "ops or scrubs abandoned as uncorrectable",
-          snap.totals.faults_uncorrectable);
-  counter("spe_blocks_quarantined_total", "quarantine insertions",
-          snap.totals.blocks_quarantined);
-  counter("spe_blocks_remapped_total", "spare-location remaps",
-          snap.totals.blocks_remapped);
-  counter("spe_blocks_scrubbed_total", "scrub verifications run",
-          snap.totals.blocks_scrubbed);
-  counter("spe_read_retries_total", "extra sense attempts after a failed verify",
-          snap.totals.read_retries);
-  counter("spe_write_retries_total", "extra program attempts after a failed verify",
-          snap.totals.write_retries);
-  counter("spe_injected_faults_total", "faults materialised by the injectors",
-          snap.totals.injected_faults);
-  counter("spe_trace_events_dropped_total", "trace events dropped by full rings",
-          obs::Tracer::instance().dropped());
+  for (const Row<obs::Counter>& row : kCounterRows) {
+    std::uint64_t total = 0;
+    for (const auto& shard : shards_) {
+      const std::uint64_t v = (shard->counters().*row.field).value();
+      if (row.per_shard) counter(row.name + shard_label(shard->id()), "", v);
+      total = sat_add(total, v);
+    }
+    counter(row.name, row.help, total);
+  }
+  for (const Row<obs::Histogram>& row : kHistogramRows) {
+    obs::Histogram& total = registry.histogram(row.name, row.help);
+    for (const auto& shard : shards_)
+      total.merge_buckets((shard->counters().*row.field).snapshot());
+  }
 
+  std::uint64_t injected = 0, queue_high_water = 0;
+  std::size_t queue_depth = 0, plaintext = 0, resident = 0, quarantined = 0;
   core::Specu::Stats crypto;
   for (const auto& shard : shards_) {
+    const std::size_t depth = shard->queue().depth();
+    registry.gauge("spe_queue_depth" + shard_label(shard->id()), "")
+        .set(static_cast<double>(depth));
+    queue_depth += depth;
+    queue_high_water = std::max(
+        queue_high_water, shard->counters().queue_high_water.load(std::memory_order_relaxed));
+    const BankShard::Occupancy occ = shard->occupancy();
+    plaintext += occ.plaintext;
+    resident += occ.resident;
+    quarantined += shard->quarantined_blocks();
+    injected = sat_add(injected, shard->injected_faults());
     const core::Specu::Stats s = shard->specu_stats();
-    crypto.reads += s.reads;
-    crypto.writes += s.writes;
     crypto.encrypt_ops += s.encrypt_ops;
     crypto.decrypt_ops += s.decrypt_ops;
     crypto.encrypt_pulses += s.encrypt_pulses;
     crypto.decrypt_pulses += s.decrypt_pulses;
   }
+  counter("spe_injected_faults_total", "faults materialised by the injectors", injected);
+  counter("spe_trace_events_dropped_total", "trace events dropped by full rings",
+          obs::Tracer::instance().dropped());
+
   counter("spe_encrypt_ops_total", "per crossbar-unit encryptions",
           crypto.encrypt_ops);
   counter("spe_decrypt_ops_total", "per crossbar-unit decryptions",
@@ -559,33 +600,22 @@ void MemoryService::fill_metrics(obs::MetricsRegistry& registry) const {
   counter("spe_decrypt_pulses_total", "reverse pulses applied decrypting",
           crypto.decrypt_pulses);
 
-  std::size_t queue_depth = 0;
-  for (const auto& shard : shards_) queue_depth += shard->queue().depth();
   registry.gauge("spe_queue_depth", "requests currently queued across shards")
       .set(static_cast<double>(queue_depth));
   registry.gauge("spe_queue_high_water", "deepest per-shard queue observed")
-      .set(static_cast<double>(snap.totals.queue_high_water));
+      .set(static_cast<double>(queue_high_water));
   registry.gauge("spe_plaintext_blocks", "blocks resting decrypted (SPE-serial window)")
-      .set(static_cast<double>(snap.totals.plaintext_blocks));
+      .set(static_cast<double>(plaintext));
   registry.gauge("spe_resident_blocks", "blocks resident across shards")
-      .set(static_cast<double>(snap.totals.resident_blocks));
+      .set(static_cast<double>(resident));
   registry.gauge("spe_quarantined_blocks", "blocks currently quarantined")
-      .set(static_cast<double>(snap.totals.quarantined_now));
-  const double resident = static_cast<double>(snap.totals.resident_blocks);
+      .set(static_cast<double>(quarantined));
   registry.gauge("spe_encrypted_fraction", "fraction of resident blocks encrypted")
-      .set(resident == 0.0
-               ? 1.0
-               : (resident - static_cast<double>(snap.totals.plaintext_blocks)) /
-                     resident);
+      .set(resident == 0 ? 1.0
+                         : (static_cast<double>(resident) - static_cast<double>(plaintext)) /
+                               static_cast<double>(resident));
   registry.gauge("spe_shards", "bank shards in the service")
       .set(static_cast<double>(shards_.size()));
-
-  latency("spe_read_latency_ns", "submit to future-fulfilled read latency",
-          snap.totals.read_latency);
-  latency("spe_write_latency_ns", "submit to future-fulfilled write latency",
-          snap.totals.write_latency);
-  latency("spe_background_latency_ns", "one scavenger block re-encryption",
-          snap.totals.background_latency);
 
   if (config_.tenants) {
     const auto& reg = *config_.tenants;
@@ -623,15 +653,6 @@ void MemoryService::fill_metrics(obs::MetricsRegistry& registry) const {
     }
   }
 
-  for (const ShardStatsSnapshot& s : snap.shards) {
-    const std::string label = "{shard=\"" + std::to_string(s.shard) + "\"}";
-    counter("spe_reads_total" + label, "", s.reads_completed);
-    counter("spe_writes_total" + label, "", s.writes_completed);
-    counter("spe_faults_detected_total" + label, "", s.faults_detected);
-    registry.gauge("spe_queue_depth" + label, "")
-        .set(static_cast<double>(shards_[s.shard]->queue().depth()));
-  }
-
   // Cross-layer counters that accumulate below the runtime (journal
   // transitions, crossbar solves, recovery classifications).
   obs::MetricsRegistry::global().merge_into(registry);
@@ -647,9 +668,9 @@ double MemoryService::encrypted_fraction() const {
   std::size_t resident = 0;
   double encrypted = 0.0;
   for (const auto& shard : shards_) {
-    const ShardStatsSnapshot snap = shard->stats_snapshot();
-    resident += snap.resident_blocks;
-    encrypted += static_cast<double>(snap.resident_blocks - snap.plaintext_blocks);
+    const BankShard::Occupancy occ = shard->occupancy();
+    resident += occ.resident;
+    encrypted += static_cast<double>(occ.resident - occ.plaintext);
   }
   return resident == 0 ? 1.0 : encrypted / static_cast<double>(resident);
 }

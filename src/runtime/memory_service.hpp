@@ -30,7 +30,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/service_config.hpp"
-#include "runtime/service_stats.hpp"
 #include "runtime/shard.hpp"
 
 namespace spe::runtime {
@@ -134,15 +133,17 @@ public:
   /// locking; quiesce for a point-in-time answer).
   [[nodiscard]] std::vector<std::uint64_t> resident_blocks() const;
 
-  [[nodiscard]] ServiceStatsSnapshot stats() const;
-  /// Resident-weighted encrypted fraction across all shards (1.0 if empty).
+  /// Resident-weighted encrypted fraction across all shards (1.0 if empty);
+  /// reads only each shard's resident and plaintext counts.
   [[nodiscard]] double encrypted_fraction() const;
 
   // --- observability (src/obs wiring; DESIGN.md §9) -------------------------
 
-  /// Registers every documented spe_* metric into `registry` from a fresh
-  /// stats snapshot, then folds in the process-global registry (journal /
-  /// crossbar / recovery counters, trace drops).
+  /// Registers every documented spe_* metric into `registry`, reading each
+  /// shard's instruments (ShardCounters) once: per-shard series plus
+  /// saturating totals. Then folds in the process-global registry (journal /
+  /// crossbar / recovery counters). Consumers read values back by name with
+  /// MetricsRegistry::at.
   void fill_metrics(obs::MetricsRegistry& registry) const;
 
   /// fill_metrics() into a fresh registry, rendered as Prometheus text or

@@ -17,7 +17,7 @@ void RequestQueue::admit(std::unique_lock<std::mutex>& lock) {
   if (closed()) throw ServiceStoppedError(shard_id_);
   if (pending_.size() < capacity_) return;
   if (policy_ == BackpressurePolicy::Reject) {
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected.add();
     throw QueueFullError(shard_id_, pending_.size());
   }
   not_full_.wait(lock, [this] { return closed() || pending_.size() < capacity_; });
@@ -53,7 +53,7 @@ std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
       waiter.enqueued = std::chrono::steady_clock::now();
       auto future = waiter.promise.get_future();
       open.write_waiters.push_back(std::move(waiter));
-      counters_.writes_coalesced.fetch_add(1, std::memory_order_relaxed);
+      counters_.writes_coalesced.add();
       return future;
     }
   }

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "runtime/service_config.hpp"
-#include "runtime/service_stats.hpp"
+#include "runtime/shard_counters.hpp"
 
 namespace spe::runtime {
 

@@ -519,7 +519,7 @@ void BankShard::refresh_checks(std::uint64_t addr) {
 
 void BankShard::quarantine(std::uint64_t addr, QuarantineReason reason) {
   if (quarantined_.emplace(addr, reason).second)
-    counters_.blocks_quarantined.fetch_add(1, std::memory_order_relaxed);
+    counters_.blocks_quarantined.add();
 }
 
 std::optional<QuarantineReason> BankShard::quarantine_reason(std::uint64_t addr) const {
@@ -532,7 +532,7 @@ bool BankShard::verify_block(std::uint64_t addr, core::Snvmm::Block& block,
                              const std::vector<std::uint8_t>& checks) {
   for (unsigned attempt = 0; attempt <= config_.max_read_retries; ++attempt) {
     if (attempt > 0) {
-      counters_.read_retries.fetch_add(1, std::memory_order_relaxed);
+      counters_.read_retries.add();
       obs::Tracer::instance().instant("ecc.retry", addr, attempt);
       backoff(attempt);
     }
@@ -542,10 +542,9 @@ bool BankShard::verify_block(std::uint64_t addr, core::Snvmm::Block& block,
     if (injector_ && injector_->enabled()) injector_->corrupt_sense(addr, sensed);
     const ecc::LevelDecodeResult result = ecc::verify_levels(sensed, checks);
     if (!result.ok || result.corrected_cells > 0)
-      counters_.faults_detected.fetch_add(1, std::memory_order_relaxed);
+      counters_.faults_detected.add();
     if (result.ok) {
-      counters_.faults_corrected.fetch_add(result.corrected_cells,
-                                           std::memory_order_relaxed);
+      counters_.faults_corrected.add(result.corrected_cells);
       // Scrub-on-read: the verified copy is the ground truth; writing it
       // back heals drift accumulated in the array (stuck cells re-pin at
       // the next sense and are re-corrected then).
@@ -565,7 +564,7 @@ std::vector<std::uint8_t> BankShard::read_block_guarded(std::uint64_t addr) {
     const auto shadow = checks_.find(addr);
     if (shadow != checks_.end() &&
         !verify_block(addr, memory_.block(addr), shadow->second)) {
-      counters_.faults_uncorrectable.fetch_add(1, std::memory_order_relaxed);
+      counters_.faults_uncorrectable.add();
       quarantine(addr, QuarantineReason::Uncorrectable);
       throw UncorrectableFaultError(id_, addr);
     }
@@ -619,13 +618,13 @@ void BankShard::write_block_guarded(std::uint64_t addr,
   // epoch).
   if (quarantined_.erase(addr) > 0 && injector_) {
     injector_->remap(addr);
-    counters_.blocks_remapped.fetch_add(1, std::memory_order_relaxed);
+    counters_.blocks_remapped.add();
   }
 
   for (unsigned round = 0;; ++round) {
     for (unsigned attempt = 0; attempt <= config_.max_write_retries; ++attempt) {
       if (attempt > 0) {
-        counters_.write_retries.fetch_add(1, std::memory_order_relaxed);
+        counters_.write_retries.add();
         obs::Tracer::instance().instant("ecc.retry", addr, attempt);
         backoff(attempt);
       }
@@ -640,18 +639,17 @@ void BankShard::write_block_guarded(std::uint64_t addr,
       const ecc::LevelDecodeResult result =
           ecc::verify_levels(block.levels, checks_.at(addr));
       if (!result.ok || result.corrected_cells > 0)
-        counters_.faults_detected.fetch_add(1, std::memory_order_relaxed);
+        counters_.faults_detected.add();
       if (result.ok) {
-        counters_.faults_corrected.fetch_add(result.corrected_cells,
-                                             std::memory_order_relaxed);
+        counters_.faults_corrected.add(result.corrected_cells);
         return;
       }
     }
     if (round > 0 || !injector_) break;  // one remap round, then give up
     injector_->remap(addr);
-    counters_.blocks_remapped.fetch_add(1, std::memory_order_relaxed);
+    counters_.blocks_remapped.add();
   }
-  counters_.faults_uncorrectable.fetch_add(1, std::memory_order_relaxed);
+  counters_.faults_uncorrectable.add();
   quarantine(addr, QuarantineReason::Uncorrectable);
   throw UncorrectableFaultError(id_, addr);
 }
@@ -674,7 +672,7 @@ void BankShard::execute_batch(std::vector<Request> batch) {
         }
         const auto done = std::chrono::steady_clock::now();
         counters_.read_latency.record(done - req.enqueued);
-        counters_.reads_completed.fetch_add(1, std::memory_order_relaxed);
+        counters_.reads_completed.add();
         req.read_promise.set_value(std::move(data));
       } catch (...) {
         req.read_promise.set_exception(std::current_exception());
@@ -686,8 +684,7 @@ void BankShard::execute_batch(std::vector<Request> batch) {
           write_block_guarded(req.block_addr, req.data);
         }
         const auto done = std::chrono::steady_clock::now();
-        counters_.writes_completed.fetch_add(req.write_waiters.size(),
-                                             std::memory_order_relaxed);
+        counters_.writes_completed.add(req.write_waiters.size());
         for (Request::WriteWaiter& waiter : req.write_waiters) {
           counters_.write_latency.record(done - waiter.enqueued);
           waiter.promise.set_value();
@@ -725,7 +722,7 @@ unsigned BankShard::scavenge(unsigned max_blocks) {
     span.set_a1(1);
     if (config_.ecc_enabled) refresh_checks(*addr);
     counters_.background_latency.record(std::chrono::steady_clock::now() - start);
-    counters_.background_encrypted.fetch_add(1, std::memory_order_relaxed);
+    counters_.background_encrypted.add();
     ++secured;
   }
   return secured;
@@ -755,15 +752,14 @@ unsigned BankShard::scrub(unsigned max_blocks) {
     if (injector_ && injector_->enabled()) injector_->age_block(addr, block.levels);
     const ecc::LevelDecodeResult result =
         ecc::verify_levels(block.levels, shadow->second);
-    counters_.blocks_scrubbed.fetch_add(1, std::memory_order_relaxed);
+    counters_.blocks_scrubbed.add();
     ++scrubbed;
     if (!result.ok || result.corrected_cells > 0)
-      counters_.faults_detected.fetch_add(1, std::memory_order_relaxed);
+      counters_.faults_detected.add();
     if (result.ok) {
-      counters_.faults_corrected.fetch_add(result.corrected_cells,
-                                           std::memory_order_relaxed);
+      counters_.faults_corrected.add(result.corrected_cells);
     } else {
-      counters_.faults_uncorrectable.fetch_add(1, std::memory_order_relaxed);
+      counters_.faults_uncorrectable.add();
       quarantine(addr, QuarantineReason::Uncorrectable);
     }
   }
@@ -772,18 +768,26 @@ unsigned BankShard::scrub(unsigned max_blocks) {
   return scrubbed;
 }
 
-ShardStatsSnapshot BankShard::stats_snapshot() const {
-  ShardStatsSnapshot snap = snapshot_counters(id_, counters_);
+BankShard::Occupancy BankShard::occupancy() const {
   std::lock_guard lock(state_mutex_);
-  snap.plaintext_blocks = specu_.plaintext_blocks();
+  Occupancy occ;
+  occ.resident = memory_.block_count();
+  occ.plaintext = specu_.plaintext_blocks();
   for (const auto& [tid, domain] : domains_) {
-    if (domain.specu) snap.plaintext_blocks += domain.specu->plaintext_blocks();
-    if (domain.old_specu) snap.plaintext_blocks += domain.old_specu->plaintext_blocks();
+    if (domain.specu) occ.plaintext += domain.specu->plaintext_blocks();
+    if (domain.old_specu) occ.plaintext += domain.old_specu->plaintext_blocks();
   }
-  snap.resident_blocks = memory_.block_count();
-  snap.quarantined_now = quarantined_.size();
-  snap.injected_faults = injector_ ? injector_->counts().total() : 0;
-  return snap;
+  return occ;
+}
+
+std::size_t BankShard::quarantined_blocks() const {
+  std::lock_guard lock(state_mutex_);
+  return quarantined_.size();
+}
+
+std::uint64_t BankShard::injected_faults() const {
+  std::lock_guard lock(state_mutex_);
+  return injector_ ? injector_->counts().total() : 0;
 }
 
 std::vector<std::uint64_t> BankShard::resident_blocks() const {

@@ -47,7 +47,7 @@
 #include "runtime/recovery.hpp"
 #include "runtime/request_queue.hpp"
 #include "runtime/service_config.hpp"
-#include "runtime/service_stats.hpp"
+#include "runtime/shard_counters.hpp"
 
 namespace spe::runtime {
 
@@ -148,8 +148,17 @@ public:
   /// resident blocks. Idempotent (the journal is drained as it is applied).
   ShardRecovery recover();
 
-  /// Counters plus under-lock occupancy (plaintext / resident blocks).
-  [[nodiscard]] ShardStatsSnapshot stats_snapshot() const;
+  /// Resident and plaintext (SPE-serial exposure) block counts, read
+  /// together under the state lock.
+  struct Occupancy {
+    std::size_t resident = 0;
+    std::size_t plaintext = 0;
+  };
+  [[nodiscard]] Occupancy occupancy() const;
+  /// Blocks currently quarantined.
+  [[nodiscard]] std::size_t quarantined_blocks() const;
+  /// Faults materialised by this shard's injector (0 without one).
+  [[nodiscard]] std::uint64_t injected_faults() const;
 
   /// Addresses of every resident block (sorted — Snvmm keeps an ordered
   /// map). Safe against the worker: takes the state lock. The cluster

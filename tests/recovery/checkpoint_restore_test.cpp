@@ -82,9 +82,10 @@ TEST(CheckpointRestore, FaultedShardStateSurvivesRoundTrip) {
   const auto outcomes = run_workload(service);
 
   // The workload must have exercised the machinery we claim to round-trip.
-  const ServiceStatsSnapshot before = service.stats();
-  EXPECT_GT(before.totals.injected_faults, 0u);
-  EXPECT_GT(before.totals.blocks_remapped, 0u);
+  obs::MetricsRegistry before;
+  service.fill_metrics(before);
+  EXPECT_GT(before.at<obs::Counter>("spe_injected_faults_total").value(), 0u);
+  EXPECT_GT(before.at<obs::Counter>("spe_blocks_remapped_total").value(), 0u);
   const double encrypted_before = service.encrypted_fraction();
   std::vector<std::map<std::uint64_t, std::uint32_t>> remaps_before;
   for (unsigned s = 0; s < service.shard_count(); ++s)
@@ -100,7 +101,10 @@ TEST(CheckpointRestore, FaultedShardStateSurvivesRoundTrip) {
 
   // Encrypted fraction, quarantine set and remap table all survived.
   EXPECT_DOUBLE_EQ(restored.encrypted_fraction(), encrypted_before);
-  EXPECT_EQ(restored.stats().totals.quarantined_now, before.totals.quarantined_now);
+  obs::MetricsRegistry after;
+  restored.fill_metrics(after);
+  EXPECT_EQ(after.at<obs::Gauge>("spe_quarantined_blocks").value(),
+            before.at<obs::Gauge>("spe_quarantined_blocks").value());
   for (unsigned s = 0; s < restored.shard_count(); ++s) {
     ASSERT_NE(restored.shard(s).injector(), nullptr);
     EXPECT_EQ(restored.shard(s).injector()->remap_table(), remaps_before[s])

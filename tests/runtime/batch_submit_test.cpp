@@ -176,7 +176,9 @@ TEST(BatchSubmit, FuzzCorpusPreservesPerBlockOrdering) {
           << " (coalesce=" << coalesce << ")";
     }
     if (coalesce) {
-      EXPECT_GT(service.stats().totals.writes_coalesced, 0u);
+      obs::MetricsRegistry m;
+      service.fill_metrics(m);
+      EXPECT_GT(m.at<obs::Counter>("spe_writes_coalesced_total").value(), 0u);
     }
   }
 }
@@ -214,7 +216,9 @@ TEST(BatchSubmit, RejectBackpressureResolvesBouncedFuturesInPlace) {
   EXPECT_GT(bounced, 0u);
   EXPECT_GT(completed, 0u);
   EXPECT_EQ(bounced + completed, addrs.size());
-  EXPECT_EQ(service.stats().totals.rejected, bounced);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_EQ(m.at<obs::Counter>("spe_requests_rejected_total").value(), bounced);
 
   // Same contract on the read side. Only addresses that landed a write can
   // promise well-formed payloads — an all-bounced address reads back

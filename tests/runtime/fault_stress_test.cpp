@@ -114,28 +114,28 @@ TEST(FaultStress, ConcurrentClientsNeverSeeSilentCorruption) {
   EXPECT_GT(writes_acked.load(), 0u);
   EXPECT_GT(reads_ok.load(), 0u);
 
-  const ServiceStatsSnapshot stats = service.stats();
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  const auto total = [&m](const char* name) { return m.at<obs::Counter>(name).value(); };
   // Every client-observed op is accounted in the service counters. Writes
   // that failed with a typed error are not acked, so completed >= acked
   // (retried/remapped writes complete on a later attempt).
-  EXPECT_GE(stats.totals.writes_completed, writes_acked.load());
-  EXPECT_GE(stats.totals.reads_completed, reads_ok.load());
+  EXPECT_GE(total("spe_writes_total"), writes_acked.load());
+  EXPECT_GE(total("spe_reads_total"), reads_ok.load());
   // Corrections imply injected faults, and the injector materialised at
   // least as many events as the verifier corrected.
-  EXPECT_GE(stats.totals.injected_faults, stats.totals.faults_corrected > 0 ? 1u : 0u);
-  if (stats.totals.faults_detected > 0 || stats.totals.faults_corrected > 0)
-    EXPECT_GT(stats.totals.injected_faults, 0u);
+  const std::uint64_t injected = total("spe_injected_faults_total");
+  EXPECT_GE(injected, total("spe_faults_corrected_total") > 0 ? 1u : 0u);
+  if (total("spe_faults_detected_total") > 0 || total("spe_faults_corrected_total") > 0)
+    EXPECT_GT(injected, 0u);
   // Quarantine bookkeeping: currently-quarantined blocks can never exceed
   // total quarantine insertions.
-  EXPECT_LE(stats.totals.quarantined_now, stats.totals.blocks_quarantined);
+  EXPECT_LE(m.at<obs::Gauge>("spe_quarantined_blocks").value(),
+            static_cast<double>(total("spe_blocks_quarantined_total")));
   // Uncorrectable client observations came from somewhere: each one is an
   // abandoned op or scrub.
-  EXPECT_LE(reads_faulted.load() > 0 ? 1u : 0u, stats.totals.faults_uncorrectable +
-                                                    stats.totals.blocks_quarantined);
-  // The human-readable report carries the resilience line.
-  const std::string report = stats.to_string();
-  EXPECT_NE(report.find("resilience:"), std::string::npos);
-  EXPECT_NE(report.find("injected="), std::string::npos);
+  EXPECT_LE(reads_faulted.load() > 0 ? 1u : 0u,
+            total("spe_faults_uncorrectable_total") + total("spe_blocks_quarantined_total"));
   service.stop();
 }
 
@@ -178,12 +178,14 @@ TEST(FaultStress, QuarantinedBlocksRecoverViaRewrite) {
     } catch (const QuarantinedBlockError&) {
     }
   }
-  const ServiceStatsSnapshot stats = service.stats();
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  const auto total = [&m](const char* name) { return m.at<obs::Counter>(name).value(); };
   // With ~3 stuck cells per block expected, remap/quarantine machinery
   // must actually have fired somewhere in 192 blocks.
-  EXPECT_GT(stats.totals.faults_detected, 0u);
-  EXPECT_GT(stats.totals.injected_faults, 0u);
-  if (uncorrectable_seen > 0) EXPECT_GT(stats.totals.blocks_remapped, 0u);
+  EXPECT_GT(total("spe_faults_detected_total"), 0u);
+  EXPECT_GT(total("spe_injected_faults_total"), 0u);
+  if (uncorrectable_seen > 0) EXPECT_GT(total("spe_blocks_remapped_total"), 0u);
   service.stop();
 }
 
@@ -198,11 +200,11 @@ TEST(FaultStress, DisabledInjectionIsInvisible) {
     service.write(addr, data);
     EXPECT_EQ(service.read(addr), data);
   }
-  const ServiceStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.totals.injected_faults, 0u);
-  EXPECT_EQ(stats.totals.faults_detected, 0u);
-  EXPECT_EQ(stats.totals.faults_uncorrectable, 0u);
-  EXPECT_EQ(stats.totals.blocks_quarantined, 0u);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  for (const char* name : {"spe_injected_faults_total", "spe_faults_detected_total",
+                           "spe_faults_uncorrectable_total", "spe_blocks_quarantined_total"})
+    EXPECT_EQ(m.at<obs::Counter>(name).value(), 0u) << name;
   for (unsigned s = 0; s < service.shard_count(); ++s)
     EXPECT_EQ(service.shard(s).injector(), nullptr);
   service.stop();

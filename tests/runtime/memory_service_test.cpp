@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,13 @@ bool block_is_well_formed(const std::vector<std::uint8_t>& data) {
         static_cast<std::uint8_t>(31 * i))
       return false;
   return true;
+}
+
+/// Reads an exported counter back by name from a fresh fill_metrics().
+std::uint64_t exported(const MemoryService& service, const std::string& name) {
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  return m.at<obs::Counter>(name).value();
 }
 
 ServiceConfig small_config() {
@@ -120,10 +128,9 @@ TEST(MemoryService, ConcurrentMixedTrafficStaysBitExact) {
   for (std::uint64_t addr = 0; addr < kBlocks; ++addr)
     EXPECT_TRUE(block_is_well_formed(service.read(addr))) << "block " << addr;
 
-  const ServiceStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.totals.rejected, 0u);  // Block policy never bounces
+  EXPECT_EQ(exported(service, "spe_requests_rejected_total"), 0u);  // Block never bounces
   // Every submitted op completed: initial fills + client ops + quiesce reads.
-  EXPECT_EQ(stats.total_ops(),
+  EXPECT_EQ(exported(service, "spe_reads_total") + exported(service, "spe_writes_total"),
             2 * kBlocks + static_cast<std::uint64_t>(kClients) * kOpsPerClient);
 }
 
@@ -169,7 +176,7 @@ TEST(MemoryService, RejectPolicySurfacesQueueFullToSubmitter) {
   }
   for (auto& f : accepted) f.get();
   EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(service.stats().totals.rejected, rejected);
+  EXPECT_EQ(exported(service, "spe_requests_rejected_total"), rejected);
 }
 
 TEST(MemoryService, SerialScavengerReencryptsEverything) {
@@ -187,7 +194,7 @@ TEST(MemoryService, SerialScavengerReencryptsEverything) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(1ms);
   EXPECT_DOUBLE_EQ(service.encrypted_fraction(), 1.0);
-  EXPECT_GT(service.stats().totals.background_encrypted, 0u);
+  EXPECT_GT(exported(service, "spe_background_encrypted_total"), 0u);
 
   // The re-encrypted blocks must still decrypt bit-exactly.
   for (std::uint64_t addr = 0; addr < 32; ++addr)
@@ -202,7 +209,9 @@ TEST(MemoryService, ParallelModeNeverLeavesPlaintext) {
     service.write(addr, tagged_block(addr, 3, service.block_bytes()));
   for (std::uint64_t addr = 0; addr < 16; ++addr) (void)service.read(addr);
   EXPECT_DOUBLE_EQ(service.encrypted_fraction(), 1.0);
-  EXPECT_EQ(service.stats().totals.plaintext_blocks, 0u);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_EQ(m.at<obs::Gauge>("spe_plaintext_blocks").value(), 0.0);
 }
 
 TEST(MemoryService, StopIsIdempotentAndSubmitsAfterStopThrow) {
@@ -213,8 +222,8 @@ TEST(MemoryService, StopIsIdempotentAndSubmitsAfterStopThrow) {
   EXPECT_THROW((void)service.submit_read(1), ServiceStoppedError);
   EXPECT_THROW(service.write(1, tagged_block(1, 1, service.block_bytes())),
                ServiceStoppedError);
-  // Stats remain readable after shutdown.
-  EXPECT_EQ(service.stats().totals.writes_completed, 1u);
+  // Metrics remain readable after shutdown.
+  EXPECT_EQ(exported(service, "spe_writes_total"), 1u);
 }
 
 // Two threads racing into stop(): exactly one runs the shutdown, the other
@@ -237,7 +246,7 @@ TEST(MemoryService, ConcurrentStopFromTwoThreadsIsSafe) {
     go.store(true);
     a.join();
     b.join();
-    EXPECT_EQ(service.stats().totals.writes_completed, 1u) << "round " << round;
+    EXPECT_EQ(exported(service, "spe_writes_total"), 1u) << "round " << round;
   }
 }
 
@@ -278,17 +287,18 @@ TEST(MemoryService, RacingShutdownSettlesEveryFutureTyped) {
   }
 }
 
-TEST(MemoryService, LatencyHistogramsPopulate) {
+TEST(MemoryService, LatencyMetricsPopulate) {
   MemoryService service(small_config());
   for (std::uint64_t addr = 0; addr < 8; ++addr)
     service.write(addr, tagged_block(addr, 0, service.block_bytes()));
   for (std::uint64_t addr = 0; addr < 8; ++addr) (void)service.read(addr);
-  const ServiceStatsSnapshot stats = service.stats();
-  EXPECT_EQ(stats.totals.write_latency.count, 8u);
-  EXPECT_EQ(stats.totals.read_latency.count, 8u);
-  EXPECT_GT(stats.totals.read_latency.p99().count(), 0);
-  EXPECT_LE(stats.totals.read_latency.p50().count(),
-            stats.totals.read_latency.p99().count());
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  const auto reads = m.at<obs::Histogram>("spe_read_latency_ns").snapshot();
+  EXPECT_EQ(m.at<obs::Histogram>("spe_write_latency_ns").snapshot().count, 8u);
+  EXPECT_EQ(reads.count, 8u);
+  EXPECT_GT(reads.p99().count(), 0);
+  EXPECT_LE(reads.p50().count(), reads.p99().count());
 }
 
 }  // namespace

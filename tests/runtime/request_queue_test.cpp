@@ -23,7 +23,7 @@ TEST(RequestQueue, RejectPolicyThrowsTypedErrorWhenFull) {
     EXPECT_EQ(e.shard(), 3u);
     EXPECT_EQ(e.depth(), 2u);
   }
-  EXPECT_EQ(counters.rejected.load(), 1u);
+  EXPECT_EQ(counters.rejected.value(), 1u);
   EXPECT_EQ(q.depth(), 2u);
   (void)q.drain();  // settle futures' promises (dropped => broken_promise is fine here)
 }
@@ -43,7 +43,7 @@ TEST(RequestQueue, BlockPolicyWaitsForDrain) {
   producer.join();
   EXPECT_TRUE(second_admitted.load());
   EXPECT_EQ(q.drain().size(), 1u);
-  EXPECT_EQ(counters.rejected.load(), 0u);
+  EXPECT_EQ(counters.rejected.value(), 0u);
 }
 
 TEST(RequestQueue, SameBlockWritesCoalesceLatestWins) {
@@ -53,7 +53,7 @@ TEST(RequestQueue, SameBlockWritesCoalesceLatestWins) {
   auto f2 = q.push_write(7, payload(0xBB));
   auto f3 = q.push_write(9, payload(0xCC));
   EXPECT_EQ(q.depth(), 2u);  // the merge consumed no slot
-  EXPECT_EQ(counters.writes_coalesced.load(), 1u);
+  EXPECT_EQ(counters.writes_coalesced.value(), 1u);
   auto batch = q.drain();
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].block_addr, 7u);
@@ -85,7 +85,7 @@ TEST(RequestQueue, InterveningReadStopsCoalescing) {
   EXPECT_EQ(batch[1].kind, Request::Kind::Read);
   EXPECT_EQ(batch[2].kind, Request::Kind::Write);
   EXPECT_EQ(batch[2].data, payload(0xBB));
-  EXPECT_EQ(counters.writes_coalesced.load(), 0u);
+  EXPECT_EQ(counters.writes_coalesced.value(), 0u);
 }
 
 TEST(RequestQueue, DrainResetsCoalescingWindow) {
@@ -94,7 +94,7 @@ TEST(RequestQueue, DrainResetsCoalescingWindow) {
   auto f1 = q.push_write(7, payload(1));
   EXPECT_EQ(q.drain().size(), 1u);
   auto f2 = q.push_write(7, payload(2));  // earlier write already executing
-  EXPECT_EQ(counters.writes_coalesced.load(), 0u);
+  EXPECT_EQ(counters.writes_coalesced.value(), 0u);
   EXPECT_EQ(q.drain().size(), 1u);
 }
 
@@ -123,7 +123,7 @@ TEST(RequestQueue, CloseDoesNotCountAsQueueRejection) {
   RequestQueue q(0, 4, BackpressurePolicy::Reject, /*coalesce=*/false, counters);
   q.close();
   EXPECT_THROW((void)q.push_write(1, payload(1)), ServiceStoppedError);
-  EXPECT_EQ(counters.rejected.load(), 0u);  // stopped, not backpressured
+  EXPECT_EQ(counters.rejected.value(), 0u);  // stopped, not backpressured
 }
 
 TEST(RequestQueue, TracksQueueHighWaterMark) {

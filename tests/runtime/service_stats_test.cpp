@@ -1,168 +1,165 @@
-// ServiceStats aggregation edge cases and the relaxed-consistency contract
-// documented in service_stats.hpp: empty shard lists, saturating totals at
-// uint64 max, queue high-water max-reduction, latency histogram bucket
-// boundaries, and totals that never go backwards across successive
-// snapshots taken while writers hammer the counters.
+// The service's exported totals and the relaxed-consistency contract
+// documented in shard_counters.hpp, checked through MemoryService::
+// fill_metrics: every ShardCounters field reaches its family, per-shard
+// series sum into saturating totals, queue high-water reduces by max, and
+// totals never go backwards across successive exports taken while writers
+// hammer the shards' instruments.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/latency_histogram.hpp"
-#include "runtime/service_stats.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/memory_service.hpp"
 
 namespace spe::runtime {
 namespace {
 
 constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
 
-TEST(ServiceStats, AggregateOfEmptyShardListIsAllZero) {
-  const ServiceStatsSnapshot snap = aggregate({});
-  EXPECT_TRUE(snap.shards.empty());
-  EXPECT_EQ(snap.total_ops(), 0u);
-  EXPECT_EQ(snap.totals.reads_completed, 0u);
-  EXPECT_EQ(snap.totals.faults_detected, 0u);
-  EXPECT_EQ(snap.totals.blocks_scrubbed, 0u);
-  EXPECT_EQ(snap.totals.queue_high_water, 0u);
-  EXPECT_EQ(snap.totals.read_latency.count, 0u);
-  // And the report still renders.
-  EXPECT_NE(snap.to_string().find("service totals"), std::string::npos);
+/// No background thread, so only the test moves the counters.
+ServiceConfig quiet_config(unsigned shards) {
+  ServiceConfig cfg;
+  cfg.shards = shards;
+  cfg.worker_threads = 1;
+  cfg.scavenger_enabled = false;
+  cfg.scrub_enabled = false;
+  return cfg;
+}
+
+std::uint64_t total(const obs::MetricsRegistry& m, const std::string& name) {
+  return m.at<obs::Counter>(name).value();
+}
+
+std::string shard(const std::string& family, unsigned s) {
+  return family + "{shard=\"" + std::to_string(s) + "\"}";
+}
+
+TEST(ServiceStats, FillMetricsCopiesEveryCounterField) {
+  MemoryService service(quiet_config(2));
+  ShardCounters& c = service.shard(1).counters();
+  const std::map<std::string, obs::Counter*> fields = {
+      {"spe_reads_total", &c.reads_completed},
+      {"spe_writes_total", &c.writes_completed},
+      {"spe_writes_coalesced_total", &c.writes_coalesced},
+      {"spe_requests_rejected_total", &c.rejected},
+      {"spe_background_encrypted_total", &c.background_encrypted},
+      {"spe_faults_detected_total", &c.faults_detected},
+      {"spe_faults_corrected_total", &c.faults_corrected},
+      {"spe_faults_uncorrectable_total", &c.faults_uncorrectable},
+      {"spe_blocks_quarantined_total", &c.blocks_quarantined},
+      {"spe_read_retries_total", &c.read_retries},
+      {"spe_write_retries_total", &c.write_retries},
+      {"spe_blocks_remapped_total", &c.blocks_remapped},
+      {"spe_blocks_scrubbed_total", &c.blocks_scrubbed},
+  };
+  std::uint64_t value = 1;
+  for (const auto& [name, counter] : fields) counter->add(value++);
+  c.read_latency.record(std::chrono::nanoseconds(100));
+  c.write_latency.record(std::chrono::nanoseconds(200));
+  c.write_latency.record(std::chrono::nanoseconds(300));
+  c.background_latency.record(std::chrono::nanoseconds(400));
+  c.note_queue_depth(9);
+  c.note_queue_depth(4);  // high water keeps the max
+
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  value = 1;
+  for (const auto& [name, counter] : fields) EXPECT_EQ(total(m, name), value++) << name;
+  EXPECT_EQ(m.at<obs::Histogram>("spe_read_latency_ns").snapshot().count, 1u);
+  EXPECT_EQ(m.at<obs::Histogram>("spe_write_latency_ns").snapshot().sum, 500u);
+  EXPECT_EQ(m.at<obs::Histogram>("spe_background_latency_ns").snapshot().count, 1u);
+  EXPECT_EQ(m.at<obs::Gauge>("spe_queue_high_water").value(), 9.0);
 }
 
 TEST(ServiceStats, AggregateSumsPerShardRowsAndKeepsThem) {
-  ShardStatsSnapshot a;
-  a.shard = 0;
-  a.reads_completed = 10;
-  a.writes_completed = 4;
-  a.blocks_scrubbed = 2;
-  ShardStatsSnapshot b;
-  b.shard = 1;
-  b.reads_completed = 5;
-  b.writes_completed = 6;
-  b.blocks_scrubbed = 1;
-  const ServiceStatsSnapshot snap = aggregate({a, b});
-  EXPECT_EQ(snap.totals.reads_completed, 15u);
-  EXPECT_EQ(snap.totals.writes_completed, 10u);
-  EXPECT_EQ(snap.totals.blocks_scrubbed, 3u);
-  EXPECT_EQ(snap.total_ops(), 25u);
-  ASSERT_EQ(snap.shards.size(), 2u);
-  EXPECT_EQ(snap.shards[0].reads_completed, 10u);
-  EXPECT_EQ(snap.shards[1].reads_completed, 5u);
+  MemoryService service(quiet_config(2));
+  ShardCounters& a = service.shard(0).counters();
+  a.reads_completed.add(10);
+  a.writes_completed.add(4);
+  a.blocks_scrubbed.add(2);
+  ShardCounters& b = service.shard(1).counters();
+  b.reads_completed.add(5);
+  b.writes_completed.add(6);
+  b.blocks_scrubbed.add(1);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_EQ(total(m, "spe_reads_total"), 15u);
+  EXPECT_EQ(total(m, "spe_writes_total"), 10u);
+  EXPECT_EQ(total(m, "spe_blocks_scrubbed_total"), 3u);
+  EXPECT_EQ(total(m, shard("spe_reads_total", 0)), 10u);
+  EXPECT_EQ(total(m, shard("spe_reads_total", 1)), 5u);
+  EXPECT_EQ(total(m, shard("spe_writes_total", 1)), 6u);
 }
 
 TEST(ServiceStats, AggregateSaturatesAtUint64MaxInsteadOfWrapping) {
-  ShardStatsSnapshot a;
-  a.reads_completed = kMax - 5;
-  a.faults_corrected = kMax;
-  ShardStatsSnapshot b;
-  b.reads_completed = 100;  // would wrap to 94
-  b.faults_corrected = 1;   // would wrap to 0
-  const ServiceStatsSnapshot snap = aggregate({a, b});
-  EXPECT_EQ(snap.totals.reads_completed, kMax);
-  EXPECT_EQ(snap.totals.faults_corrected, kMax);
-  // Exact sums still exact below the clamp.
-  ShardStatsSnapshot c;
-  c.reads_completed = 7;
-  EXPECT_EQ(aggregate({b, c}).totals.reads_completed, 107u);
+  MemoryService service(quiet_config(3));
+  service.shard(0).counters().reads_completed.add(kMax - 5);
+  service.shard(0).counters().faults_corrected.add(kMax);
+  service.shard(1).counters().reads_completed.add(100);  // would wrap to 94
+  service.shard(1).counters().faults_corrected.add(1);   // would wrap to 0
+  // Exact sums stay exact below the clamp.
+  service.shard(1).counters().writes_completed.add(100);
+  service.shard(2).counters().writes_completed.add(7);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_EQ(total(m, "spe_reads_total"), kMax);
+  EXPECT_EQ(total(m, "spe_faults_corrected_total"), kMax);
+  EXPECT_EQ(total(m, "spe_writes_total"), 107u);
 }
 
 TEST(ServiceStats, QueueHighWaterAggregatesByMaxNotSum) {
-  ShardStatsSnapshot a;
-  a.queue_high_water = 12;
-  ShardStatsSnapshot b;
-  b.queue_high_water = 40;
-  ShardStatsSnapshot c;
-  c.queue_high_water = 7;
-  EXPECT_EQ(aggregate({a, b, c}).totals.queue_high_water, 40u);
-}
-
-TEST(ServiceStats, SnapshotCountersCopiesEveryField) {
-  ShardCounters counters;
-  counters.reads_completed.store(3);
-  counters.writes_coalesced.store(5);
-  counters.blocks_scrubbed.store(2);
-  counters.note_queue_depth(9);
-  counters.note_queue_depth(4);  // high water keeps the max
-  counters.read_latency.record(std::chrono::nanoseconds(100));
-  const ShardStatsSnapshot snap = snapshot_counters(7, counters);
-  EXPECT_EQ(snap.shard, 7u);
-  EXPECT_EQ(snap.reads_completed, 3u);
-  EXPECT_EQ(snap.writes_coalesced, 5u);
-  EXPECT_EQ(snap.blocks_scrubbed, 2u);
-  EXPECT_EQ(snap.queue_high_water, 9u);
-  EXPECT_EQ(snap.read_latency.count, 1u);
-}
-
-TEST(LatencyHistogramBounds, BucketBoundariesArePowersOfTwo) {
-  // Bucket b covers [2^(b-1), 2^b): values on either side of each edge land
-  // in adjacent buckets.
-  EXPECT_EQ(LatencyHistogram::bucket_for(0), 0u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(1), 0u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(2), 1u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(3), 1u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(4), 2u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(7), 2u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(8), 3u);
-  EXPECT_EQ(LatencyHistogram::bucket_for((1ull << 32) - 1), 31u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(1ull << 32), 32u);
-  EXPECT_EQ(LatencyHistogram::bucket_for(kMax), 63u);
-  EXPECT_EQ(LatencyHistogram::upper_edge_ns(0), 1u);
-  EXPECT_EQ(LatencyHistogram::upper_edge_ns(3), 15u);
-  EXPECT_EQ(LatencyHistogram::upper_edge_ns(63), kMax);
-}
-
-TEST(LatencyHistogramBounds, RecordsLandInTheirBucketAndNegativeClampsToZero) {
-  LatencyHistogram h;
-  h.record(std::chrono::nanoseconds(-50));  // clamped to 0 -> bucket 0
-  h.record(std::chrono::nanoseconds(1));
-  h.record(std::chrono::nanoseconds(2));
-  h.record(std::chrono::nanoseconds(1023));
-  h.record(std::chrono::nanoseconds(1024));
-  const LatencyHistogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_EQ(s.buckets[0], 2u);   // -50 (clamped) and 1
-  EXPECT_EQ(s.buckets[1], 1u);   // 2
-  EXPECT_EQ(s.buckets[9], 1u);   // 1023
-  EXPECT_EQ(s.buckets[10], 1u);  // 1024
-  EXPECT_EQ(s.sum_ns, 0u + 1 + 2 + 1023 + 1024);
-  // Quantiles report the holding bucket's upper edge.
-  EXPECT_EQ(s.quantile(0.0).count(), 1);
-  EXPECT_EQ(s.quantile(1.0).count(), 2047);
+  MemoryService service(quiet_config(3));
+  service.shard(0).counters().note_queue_depth(12);
+  service.shard(1).counters().note_queue_depth(40);
+  service.shard(2).counters().note_queue_depth(7);
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_EQ(m.at<obs::Gauge>("spe_queue_high_water").value(), 40.0);
 }
 
 TEST(ServiceStats, TotalsNeverGoBackwardsAcrossSnapshotsUnderLoad) {
-  // The header's relaxed-consistency contract: concurrent snapshots are not
-  // mutually consistent, but every aggregated total is monotonic.
-  std::vector<std::unique_ptr<ShardCounters>> counters;
-  for (int s = 0; s < 3; ++s) counters.push_back(std::make_unique<ShardCounters>());
+  // The relaxed-consistency contract: concurrent exports are not mutually
+  // consistent, but every exported total is monotonic.
+  MemoryService service(quiet_config(3));
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
-  for (auto& c : counters)
-    writers.emplace_back([&stop, &c] {
+  for (unsigned s = 0; s < service.shard_count(); ++s)
+    writers.emplace_back([&stop, &c = service.shard(s).counters()] {
       while (!stop.load(std::memory_order_relaxed)) {
-        c->reads_completed.fetch_add(1, std::memory_order_relaxed);
-        c->writes_completed.fetch_add(2, std::memory_order_relaxed);
-        c->faults_detected.fetch_add(1, std::memory_order_relaxed);
-        c->blocks_scrubbed.fetch_add(1, std::memory_order_relaxed);
-        c->read_latency.record(std::chrono::nanoseconds(64));
+        c.reads_completed.add(1);
+        c.writes_completed.add(2);
+        c.faults_detected.add(1);
+        c.blocks_scrubbed.add(1);
+        c.read_latency.record(std::chrono::nanoseconds(64));
       }
     });
-  ServiceStatsSnapshot last;
-  for (int i = 0; i < 2000; ++i) {
-    std::vector<ShardStatsSnapshot> rows;
-    for (unsigned s = 0; s < counters.size(); ++s)
-      rows.push_back(snapshot_counters(s, *counters[s]));
-    const ServiceStatsSnapshot snap = aggregate(std::move(rows));
-    ASSERT_GE(snap.totals.reads_completed, last.totals.reads_completed);
-    ASSERT_GE(snap.totals.writes_completed, last.totals.writes_completed);
-    ASSERT_GE(snap.totals.faults_detected, last.totals.faults_detected);
-    ASSERT_GE(snap.totals.blocks_scrubbed, last.totals.blocks_scrubbed);
-    ASSERT_GE(snap.totals.read_latency.count, last.totals.read_latency.count);
-    ASSERT_GE(snap.total_ops(), last.total_ops());
-    last = snap;
+  const char* const families[] = {"spe_reads_total", "spe_writes_total",
+                                  "spe_faults_detected_total", "spe_blocks_scrubbed_total"};
+  std::map<std::string, std::uint64_t> last;
+  std::uint64_t last_latency_count = 0;
+  for (int i = 0; i < 1000; ++i) {
+    obs::MetricsRegistry m;
+    service.fill_metrics(m);
+    for (const char* family : families) {
+      const std::uint64_t v = total(m, family);
+      ASSERT_GE(v, last[family]) << family;
+      last[family] = v;
+    }
+    // One read per shard feeds both its series and the total.
+    std::uint64_t labelled = 0;
+    for (unsigned s = 0; s < service.shard_count(); ++s)
+      labelled += total(m, shard("spe_reads_total", s));
+    ASSERT_EQ(labelled, last["spe_reads_total"]);
+    const std::uint64_t n = m.at<obs::Histogram>("spe_read_latency_ns").snapshot().count;
+    ASSERT_GE(n, last_latency_count);
+    last_latency_count = n;
   }
   stop.store(true);
   for (auto& w : writers) w.join();

@@ -226,8 +226,8 @@ TEST(TenantRotation, DrainedRotationKeepsPulseCountersMonotonic) {
   const auto pulses = [&] {
     obs::MetricsRegistry registry;
     service.fill_metrics(registry);
-    return registry.counter("spe_encrypt_pulses_total").value() +
-           registry.counter("spe_decrypt_pulses_total").value();
+    return registry.at<obs::Counter>("spe_encrypt_pulses_total").value() +
+           registry.at<obs::Counter>("spe_decrypt_pulses_total").value();
   };
   const std::uint64_t before = pulses();
   ASSERT_GT(before, 0u);
