@@ -117,10 +117,10 @@ void BM_Calibration(benchmark::State& state) {
 BENCHMARK(BM_Calibration)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void BM_IlpFixedPlacement(benchmark::State& state) {
-  ilp::SolverOptions opt;
-  opt.node_limit = 500'000;
+  ilp::PortfolioOptions opt;
+  opt.base.node_limit = 500'000;
   for (auto _ : state) {
-    const auto placement = ilp::solve_fixed_poes(8, 8, 12, opt);
+    const auto placement = ilp::solve_fixed_poes_portfolio(8, 8, 12, opt);
     benchmark::DoNotOptimize(placement.feasible);
   }
 }

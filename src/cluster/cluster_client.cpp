@@ -12,6 +12,12 @@ using net::Status;
 
 namespace {
 
+/// First retry delay after a MOVED bounce, doubled per bounce up to the max.
+/// Over op_retries bounces (~16 doublings of 5 ms capped at 250 ms) this
+/// comfortably outlasts one block's freeze->commit window.
+constexpr std::chrono::milliseconds kMovedBackoff{5};
+constexpr std::chrono::milliseconds kMovedBackoffMax{250};
+
 /// Stable per-endpoint stream id (FNV-1a) for the deterministic jitter and
 /// chaos streams — reproducible across runs, unlike pointer identity.
 std::uint64_t endpoint_stream(const std::string& endpoint) noexcept {
@@ -150,7 +156,7 @@ Frame ClusterClient::route_call(std::uint64_t addr, Frame request, bool is_write
   bool directed = false;   // true: `target` came from a MOVED payload
   bool ambiguous = false;  // a write may have reached a node inconclusively
   unsigned transient = 0;  // transient-failure index into the backoff stream
-  std::chrono::milliseconds backoff = config_.moved_backoff;
+  std::chrono::milliseconds backoff = kMovedBackoff;
   // Out of budget: reads (and writes that never reached the wire) failed
   // cleanly — nothing happened. A write whose send died mid-flight may have
   // executed anyway; surface that as ambiguity, never a generic timeout.
@@ -245,7 +251,7 @@ Frame ClusterClient::route_call(std::uint64_t addr, Frame request, bool is_write
       }
     }
     bounded_sleep(backoff, op_deadline, has_deadline);
-    backoff = std::min(backoff * 2, config_.moved_backoff_max);
+    backoff = std::min(backoff * 2, kMovedBackoffMax);
     target = std::move(owner);
     directed = true;
   }

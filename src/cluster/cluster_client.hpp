@@ -60,11 +60,6 @@ public:
 struct ClusterClientConfig {
   std::vector<NodeInfo> seeds;  ///< any member works; all are tried in order
   unsigned op_retries = 16;     ///< MOVED bounces + failovers per operation
-  /// First retry delay after a MOVED bounce; doubled per bounce up to
-  /// moved_backoff_max. Total budget (~16 doublings of 5ms capped at 250ms)
-  /// comfortably outlasts one block's freeze->commit window.
-  std::chrono::milliseconds moved_backoff{5};
-  std::chrono::milliseconds moved_backoff_max{250};
   net::ClientConfig net;  ///< template for per-node sockets (host/port overridden)
 
   /// End-to-end budget for one read_block/write_block, spanning every
@@ -75,7 +70,7 @@ struct ClusterClientConfig {
   /// Backoff schedule for transient-failure retries (unreachable node,
   /// dropped connection, BUSY shed). Deterministic per (jitter_seed,
   /// endpoint, attempt) — fixed-seed chaos campaigns replay identical
-  /// timing. Distinct from moved_backoff, which paces MOVED chasing.
+  /// timing. Distinct from the fixed MOVED backoff, which paces MOVED chasing.
   net::RetryConfig retry;
   /// Per-endpoint breaker settings (see net/resilience.hpp).
   net::CircuitBreakerConfig breaker;

@@ -13,6 +13,11 @@ using net::Frame;
 using net::Opcode;
 using net::Status;
 
+namespace {
+/// Socket I/O bound on a migration pull from the source node.
+constexpr std::chrono::milliseconds kPeerIoDeadline{10'000};
+}  // namespace
+
 ClusterCoordinator::ClusterCoordinator(runtime::MemoryService& service,
                                        ClusterTopology initial,
                                        CoordinatorConfig config)
@@ -231,7 +236,7 @@ Frame ClusterCoordinator::do_pull(const Frame& request, const MigrateSpec& spec)
   net::ClientConfig peer_config;
   peer_config.host = spec.peer.host;
   peer_config.port = spec.peer.port;
-  peer_config.io_deadline = config_.peer_io_deadline;
+  peer_config.io_deadline = kPeerIoDeadline;
   net::Client peer(peer_config);
   try {
     peer.connect();

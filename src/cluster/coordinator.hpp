@@ -46,7 +46,6 @@ struct CoordinatorConfig {
   std::string checkpoint_path;  ///< service checkpoint written before each
                                 ///< migration commit; "" = skip (volatile dest)
   std::size_t pull_batch = 64;  ///< addresses per Export round-trip
-  std::chrono::milliseconds peer_io_deadline{10'000};
 };
 
 class ClusterCoordinator final : public net::ClusterHandler {

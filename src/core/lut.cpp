@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <utility>
 
 #include "ilp/poe_placement.hpp"
 #include "util/single_flight.hpp"
@@ -12,8 +12,8 @@ namespace spe::core {
 const std::vector<unsigned>& default_poes_8x8() {
   // 16 PoEs, two per column, rows staggered so every cell is covered by the
   // physically-calibrated polyominoes and polyomino overlap stays small.
-  // Derived from solve_fixed_poes(8, 8, 16) with the relaxed boundary rule;
-  // regenerated and validated by bench/fig6_coverage and the ilp tests.
+  // Derived from the 16-PoE fixed-count placement model with the relaxed
+  // boundary rule; validated by bench/fig6_coverage and the ilp tests.
   static const std::vector<unsigned> kPoes = {
       1 * 8 + 0, 6 * 8 + 0,  // column 0: rows 1, 6
       3 * 8 + 1, 4 * 8 + 1,  // column 1: rows 3, 4
@@ -27,20 +27,21 @@ const std::vector<unsigned>& default_poes_8x8() {
   return kPoes;
 }
 
-std::vector<unsigned> poes_for_crossbar(unsigned rows, unsigned cols, std::uint64_t seed,
-                                        double time_limit_ms) {
+std::vector<unsigned> poes_for_crossbar(unsigned rows, unsigned cols) {
   if (rows == 8 && cols == 8) return default_poes_8x8();
   if (rows == 0 || cols == 0)
     throw std::invalid_argument("poes_for_crossbar: empty crossbar");
 
-  using Key = std::tuple<unsigned, unsigned, std::uint64_t>;
+  using Key = std::pair<unsigned, unsigned>;
   static util::SingleFlightCache<Key, std::vector<unsigned>> cache;
   // Solved outside any lock (seconds-scale for big crossbars); concurrent
   // shards of one geometry wait for the one solve instead of repeating it.
-  return cache.get(Key{rows, cols, seed}, [&] {
+  return cache.get(Key{rows, cols}, [&] {
+    // Heuristic seed of every service build so far: changing it would move
+    // the PoEs (and so the ciphertext) of every non-8x8 shard.
+    constexpr std::uint64_t kPlacementSeed = 0x90E5;
     ilp::PortfolioOptions options;
-    options.base.seed = seed;
-    options.base.time_limit_ms = time_limit_ms;
+    options.base.seed = kPlacementSeed;
     // Bounded exact-search budget (same cap as bench/placement_frontier):
     // with the 50M-node default a 16x16 service construction would burn ~10
     // minutes proving nothing before the heuristics get a turn.

@@ -23,15 +23,12 @@ namespace spe::core {
 /// precomputed default table; anything else is solved on first use through
 /// the placement solver portfolio (ilp/placement_solver.hpp, minimum-count
 /// model, security margin S = cells/16) and memoised process-wide, so the
-/// ILP runs once per (rows, cols, seed) no matter how many shards spin up
+/// ILP runs once per (rows, cols) no matter how many shards spin up
 /// (concurrent callers wait for the one solve; a failed solve is not cached).
-/// `seed` drives the heuristic backends (same seed => same placement on
-/// every host); `time_limit_ms` caps each portfolio member (0 = work-based
-/// budgets only, the deterministic mode). Throws std::runtime_error when no
-/// backend finds a feasible placement.
-[[nodiscard]] std::vector<unsigned> poes_for_crossbar(unsigned rows, unsigned cols,
-                                                      std::uint64_t seed = 0x51EED,
-                                                      double time_limit_ms = 0.0);
+/// The heuristic backends run on a fixed seed with no time limit, so every
+/// host and restart gets the same placement. Throws std::runtime_error when
+/// no backend finds a feasible placement.
+[[nodiscard]] std::vector<unsigned> poes_for_crossbar(unsigned rows, unsigned cols);
 
 /// Address LUT: the ordered PoE universe for one crossbar unit.
 class AddressLut {

@@ -11,7 +11,6 @@ namespace spe::core {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'S', 'P', 'E', 'N', 'V', 'M', 'M', '1'};
 constexpr char kMagicV2[8] = {'S', 'P', 'E', 'N', 'V', 'M', 'M', '2'};
 
 void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
@@ -107,8 +106,7 @@ ImageLoadResult load_image_impl(std::istream& in, bool strict) {
   in.read(magic, sizeof(magic));
   if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) || !in)
     throw std::runtime_error("snvmm image: truncated while reading magic");
-  const bool v2 = std::memcmp(magic, kMagicV2, sizeof(magic)) == 0;
-  if (!v2 && std::memcmp(magic, kMagicV1, sizeof(magic)) != 0)
+  if (std::memcmp(magic, kMagicV2, sizeof(magic)) != 0)
     throw std::runtime_error("snvmm image: bad magic");
 
   Reader r(in);
@@ -126,7 +124,7 @@ ImageLoadResult load_image_impl(std::istream& in, bool strict) {
       h.config.base_params.cell_count();
 
   for (std::uint64_t b = 0; b < h.block_count; ++b) {
-    if (v2) r.begin_crc();
+    r.begin_crc();
     const std::uint64_t addr = r.u64("block address");
     const bool encrypted = r.u64("block encrypted flag") != 0;
     const std::uint64_t wear_bits = r.u64("block wear");
@@ -137,42 +135,38 @@ ImageLoadResult load_image_impl(std::istream& in, bool strict) {
     r.bytes(block.levels.data(), static_cast<std::size_t>(levels), "block levels");
     block.encrypted = encrypted;
     std::memcpy(&block.wear, &wear_bits, sizeof(block.wear));
-    if (v2) {
-      const std::uint32_t actual = r.end_crc();
-      const std::uint32_t stored = r.u32("block CRC");
-      if (actual != stored) {
-        if (strict)
-          throw std::runtime_error("snvmm image: block CRC mismatch");
-        result.corrupt_blocks.push_back(addr);
-      }
+    const std::uint32_t actual = r.end_crc();
+    const std::uint32_t stored = r.u32("block CRC");
+    if (actual != stored) {
+      if (strict)
+        throw std::runtime_error("snvmm image: block CRC mismatch");
+      result.corrupt_blocks.push_back(addr);
     }
   }
 
-  if (v2) {
-    const std::uint64_t entries = r.u64("journal entry count");
-    for (std::uint64_t e = 0; e < entries; ++e) {
-      r.begin_crc();
-      JournalEntry entry;
-      entry.block_addr = r.u64("journal entry address");
-      entry.op = static_cast<JournalOp>(r.u64("journal entry op"));
-      entry.epoch = r.u64("journal entry epoch");
-      entry.progress = static_cast<std::uint32_t>(r.u64("journal entry progress"));
-      entry.total = static_cast<std::uint32_t>(r.u64("journal entry total"));
-      const std::uint64_t pre = r.u64("journal entry pre-image length");
-      entry.pre_image.resize(static_cast<std::size_t>(pre));
-      if (pre) r.bytes(entry.pre_image.data(), entry.pre_image.size(), "journal pre-image");
-      const std::uint32_t actual = r.end_crc();
-      const std::uint32_t stored = r.u32("journal entry CRC");
-      if (actual != stored) {
-        if (strict)
-          throw std::runtime_error("snvmm image: journal entry CRC mismatch");
-        // The entry is untrustworthy; drop it and flag the (best-effort)
-        // address so the runtime can quarantine the block it points at.
-        result.corrupt_blocks.push_back(entry.block_addr);
-        continue;
-      }
-      result.nvmm.journal().begin(std::move(entry));
+  const std::uint64_t entries = r.u64("journal entry count");
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    r.begin_crc();
+    JournalEntry entry;
+    entry.block_addr = r.u64("journal entry address");
+    entry.op = static_cast<JournalOp>(r.u64("journal entry op"));
+    entry.epoch = r.u64("journal entry epoch");
+    entry.progress = static_cast<std::uint32_t>(r.u64("journal entry progress"));
+    entry.total = static_cast<std::uint32_t>(r.u64("journal entry total"));
+    const std::uint64_t pre = r.u64("journal entry pre-image length");
+    entry.pre_image.resize(static_cast<std::size_t>(pre));
+    if (pre) r.bytes(entry.pre_image.data(), entry.pre_image.size(), "journal pre-image");
+    const std::uint32_t actual = r.end_crc();
+    const std::uint32_t stored = r.u32("journal entry CRC");
+    if (actual != stored) {
+      if (strict)
+        throw std::runtime_error("snvmm image: journal entry CRC mismatch");
+      // The entry is untrustworthy; drop it and flag the (best-effort)
+      // address so the runtime can quarantine the block it points at.
+      result.corrupt_blocks.push_back(entry.block_addr);
+      continue;
     }
+    result.nvmm.journal().begin(std::move(entry));
   }
   return result;
 }

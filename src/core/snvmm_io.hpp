@@ -14,8 +14,8 @@
 //   journal:     entry count, then per entry record { block address, op,
 //                epoch, progress, total, pre-image length, pre-image } and
 //                its CRC32.
-// Format v1 ("SPENVMM1", no CRCs, no journal) is still loadable; saving
-// always writes v2, so a v1 image re-saved gains per-block CRCs.
+// v2 is the only format: a v1 image ("SPENVMM1", no CRCs, no journal) is
+// rejected as bad magic.
 //
 // The manufactured parameters are re-derived from the device seed, and the
 // stored fingerprint is cross-checked on load (a corrupted or mismatched
@@ -32,14 +32,14 @@
 
 namespace spe::core {
 
-/// Writes the device image (always format v2). Throws std::runtime_error
+/// Writes the device image (format v2). Throws std::runtime_error
 /// on I/O failure.
 void save_image(const Snvmm& nvmm, std::ostream& out);
 void save_image_file(const Snvmm& nvmm, const std::string& path);
 
-/// Reads a device image back (v1 or v2). Throws std::runtime_error on I/O
-/// failure, truncation, format corruption, fingerprint mismatch, or — for
-/// v2 — any per-block / journal CRC mismatch.
+/// Reads a device image back. Throws std::runtime_error on I/O failure,
+/// truncation, bad magic (including a v1 image), fingerprint mismatch, or
+/// any per-block / journal CRC mismatch.
 [[nodiscard]] Snvmm load_image(std::istream& in);
 [[nodiscard]] Snvmm load_image_file(const std::string& path);
 

@@ -4,7 +4,7 @@
 // Each restart:
 //   1. Construction — lazy-greedy over "raise gains" (how much lower-side
 //      violation setting a variable to 1 removes) with a restricted
-//      candidate list: every candidate within grasp_rcl_alpha of the best
+//      candidate list: every candidate within kRclAlpha of the best
 //      gain is drawn from uniformly. Raises that would break an upper bound
 //      are skipped, so the [1,2] coverage cap is respected during
 //      construction rather than repaired after.
@@ -15,8 +15,9 @@
 //
 // All randomness flows from SolverOptions::seed mixed with the restart
 // index; with time_limit_ms == 0 the work is a fixed function of the
-// options, so seeded runs are byte-identical (the determinism contract of
-// DESIGN.md §14, pinned by tests/ilp/portfolio_differential_test.cpp).
+// model and seed, so seeded runs are byte-identical (the determinism
+// contract of DESIGN.md §14, pinned by
+// tests/ilp/portfolio_differential_test.cpp).
 
 #include <algorithm>
 #include <queue>
@@ -31,6 +32,9 @@ namespace {
 using detail::Deadline;
 using detail::IncrementalEval;
 using detail::kHeurEps;
+
+constexpr unsigned kRestarts = 8;  ///< seeded construct+improve restarts
+constexpr double kRclAlpha = 0.3;  ///< RCL width: accept gain >= best*(1-a)
 
 /// Lazy-greedy randomized construction. Gains only shrink as coverage
 /// fills (the models' coefficients are nonnegative), so a stale-entry heap
@@ -102,17 +106,16 @@ public:
     IncrementalEval eval(model);
     bool cut_off = false;
     const bool minimize = model.sense == Sense::Minimize;
-    const unsigned anneal_iters = detail::scaled_iters(options_.grasp_anneal_iters, n);
-    const unsigned improve_iters = detail::scaled_iters(options_.grasp_improve_iters, n);
-    for (unsigned restart = 0; restart < std::max(1u, options_.grasp_restarts);
-         ++restart) {
+    const unsigned anneal_iters = detail::scaled_iters(detail::kAnnealIters, n);
+    const unsigned improve_iters = detail::scaled_iters(detail::kImproveIters, n);
+    for (unsigned restart = 0; restart < kRestarts; ++restart) {
       if (deadline.expired()) {
         cut_off = true;
         break;
       }
       util::Xoshiro256ss rng(util::mix64(options_.seed ^ (0x6A5Full + restart)));
       eval.reset();
-      construct(eval, rng, options_.grasp_rcl_alpha, deadline);
+      construct(eval, rng, kRclAlpha, deadline);
       if (!eval.feasible())
         detail::anneal_repair(eval, rng, anneal_iters, deadline);
       if (!eval.feasible()) continue;

@@ -18,7 +18,13 @@ namespace spe::ilp::detail {
 
 inline constexpr double kHeurEps = 1e-9;
 
-/// Scales a per-run iteration knob to the model size: the knob defaults are
+/// Per-run work budgets both heuristic backends share (before scaled_iters):
+/// repair-annealing moves per restart/rounding, and objective local-search
+/// moves after a feasible point is reached.
+inline constexpr unsigned kAnnealIters = 20'000;
+inline constexpr unsigned kImproveIters = 4'000;
+
+/// Scales a per-run iteration budget to the model size: the budgets are
 /// tuned for the 8x8 reference crossbar (~64 binaries); bigger models get
 /// proportionally more moves so repair quality is size-independent.
 /// Saturates instead of overflowing.

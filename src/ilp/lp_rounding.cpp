@@ -29,6 +29,8 @@ using detail::Deadline;
 using detail::IncrementalEval;
 using detail::kHeurEps;
 
+constexpr unsigned kSweeps = 128;  ///< projection sweeps for the fractional guide
+
 class LpRoundingSolver final : public PlacementSolver {
 public:
   explicit LpRoundingSolver(SolverOptions options) : options_(options) {}
@@ -58,7 +60,7 @@ public:
     const double obj_step = 0.02;  // gentle gradient nudge per sweep
     const double obj_sign = model.sense == Sense::Minimize ? -1.0 : 1.0;
     bool cut_off = false;
-    for (unsigned sweep = 0; sweep < std::max(1u, options_.lp_sweeps); ++sweep) {
+    for (unsigned sweep = 0; sweep < kSweeps; ++sweep) {
       if (deadline.expired()) {
         cut_off = true;
         break;
@@ -82,8 +84,7 @@ public:
       }
       // Objective nudge, then clip. Scaled down as sweeps progress so the
       // feasibility projections win in the end game.
-      const double decay =
-          1.0 - static_cast<double>(sweep) / std::max(1u, options_.lp_sweeps);
+      const double decay = 1.0 - static_cast<double>(sweep) / kSweeps;
       const auto& obj = model.objective();
       for (unsigned v = 0; v < n; ++v)
         x[v] = std::clamp(x[v] + obj_sign * obj_step * decay * obj[v], 0.0, 1.0);
@@ -109,11 +110,11 @@ public:
     // --- Shared repair + polish ---------------------------------------------
     util::Xoshiro256ss rng(util::mix64(options_.seed ^ 0x19CEDull));
     if (!eval.feasible() && !cut_off)
-      detail::anneal_repair(eval, rng, detail::scaled_iters(options_.grasp_anneal_iters, n),
+      detail::anneal_repair(eval, rng, detail::scaled_iters(detail::kAnnealIters, n),
                             deadline);
     if (eval.feasible())
-      detail::improve_objective(
-          eval, rng, detail::scaled_iters(options_.grasp_improve_iters, n), deadline);
+      detail::improve_objective(eval, rng, detail::scaled_iters(detail::kImproveIters, n),
+                                deadline);
 
     if (eval.feasible()) {
       out.status = (cut_off || deadline.expired()) ? Solution::Status::TimeLimit

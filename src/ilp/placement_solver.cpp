@@ -73,7 +73,6 @@ std::vector<BackendSpec> default_schedule(unsigned num_vars, const SolverOptions
     schedule.push_back({BackendKind::Grasp, base});
     SolverOptions capped = base;
     capped.node_limit = std::min<std::uint64_t>(capped.node_limit, 2'000'000);
-    capped.use_greedy_start = true;
     schedule.push_back({BackendKind::BranchAndBound, capped});
   }
   return schedule;

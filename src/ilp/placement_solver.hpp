@@ -74,7 +74,7 @@ struct PortfolioOptions {
   std::vector<BackendSpec> schedule;
 
   /// Template options used by default_schedule() when `schedule` is empty
-  /// (seed, budgets, heuristic knobs).
+  /// (seed, node and time limits).
   SolverOptions base;
 
   /// Stop at the first member that produces a feasible solution (the

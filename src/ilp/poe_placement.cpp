@@ -123,15 +123,6 @@ PoePlacement placement_from_portfolio(const std::vector<std::vector<unsigned>>& 
 
 }  // namespace
 
-PoePlacement solve_fixed_poes_shapes(const std::vector<std::vector<unsigned>>& shapes,
-                                     unsigned cell_count, unsigned count,
-                                     SolverOptions options) {
-  const Model m = build_placement_model(shapes, cell_count, static_cast<int>(count), -1,
-                                        /*maximize_coverage=*/true);
-  Solver solver(options);
-  return placement_from(shapes, cell_count, solver.solve(m));
-}
-
 PoePlacement solve_min_poes_shapes(const std::vector<std::vector<unsigned>>& shapes,
                                    unsigned cell_count, unsigned security_s,
                                    SolverOptions options) {
@@ -197,11 +188,6 @@ PoePlacement solve_fixed_poes_portfolio(unsigned rows, unsigned cols, unsigned c
 PoePlacement solve_min_poes(unsigned rows, unsigned cols, unsigned security_s,
                             SolverOptions options) {
   return solve_min_poes_shapes(all_stencils(rows, cols), rows * cols, security_s, options);
-}
-
-PoePlacement solve_fixed_poes(unsigned rows, unsigned cols, unsigned count,
-                              SolverOptions options) {
-  return solve_fixed_poes_shapes(all_stencils(rows, cols), rows * cols, count, options);
 }
 
 Model build_table1_model(unsigned rows, unsigned cols, unsigned max_polyominoes,

@@ -58,21 +58,12 @@ struct PoePlacement {
 [[nodiscard]] PoePlacement solve_min_poes(unsigned rows, unsigned cols, unsigned security_s,
                                           SolverOptions options = {});
 
-/// Fixed-count placement with exactly `count` PoEs, maximizing total
-/// coverage subject to the per-cell [1, 2] window (the Fig. 6 experiment).
-/// If the strict window is infeasible for this count, `feasible` is false.
-[[nodiscard]] PoePlacement solve_fixed_poes(unsigned rows, unsigned cols, unsigned count,
-                                            SolverOptions options = {});
-
-/// Generalised variants over arbitrary candidate shapes (entry p = covered
+/// Generalised variant over arbitrary candidate shapes (entry p = covered
 /// cells when the PoE is cell p) — used to run the placement ILP on
 /// *physically extracted* polyominoes as an ablation.
 [[nodiscard]] PoePlacement solve_min_poes_shapes(
     const std::vector<std::vector<unsigned>>& shapes, unsigned cell_count,
     unsigned security_s, SolverOptions options = {});
-[[nodiscard]] PoePlacement solve_fixed_poes_shapes(
-    const std::vector<std::vector<unsigned>>& shapes, unsigned cell_count, unsigned count,
-    SolverOptions options = {});
 
 /// Builds the symmetry-reduced set-form placement model directly (one
 /// binary per candidate PoE; per-cell coverage in [1, 2]). Exposed so the
@@ -88,8 +79,11 @@ struct PoePlacement {
 /// Unlike solve_min_poes' per-count feasibility sweep, the minimum-count
 /// variant solves the direct minimise-count model once through the backend
 /// schedule, so heuristic backends can answer when the exact B&B cannot.
-/// Provenance (winning backend, status, anytime bound) lands in the
-/// PoePlacement fields above.
+/// The fixed-count variants place exactly `count` PoEs, maximising total
+/// coverage subject to the per-cell [1, 2] window (the Fig. 6 experiment);
+/// `feasible` is false when no member found such a placement, which proves
+/// infeasibility only when `status` is Infeasible. Provenance (winning
+/// backend, status, anytime bound) lands in the PoePlacement fields above.
 [[nodiscard]] PoePlacement solve_min_poes_portfolio(unsigned rows, unsigned cols,
                                                     unsigned security_s,
                                                     PortfolioOptions options = {});

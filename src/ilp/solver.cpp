@@ -289,7 +289,7 @@ public:
     // objective could ever reach (the cardinality sharpening applies here
     // too). Sound whatever happens later, so report it even on a cutoff.
     const double root_bound = state_.bound();
-    if (options_.use_greedy_start) greedy_start();
+    greedy_start();
     dfs();
     Solution out;
     out.nodes_explored = nodes_;

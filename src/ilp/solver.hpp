@@ -7,9 +7,8 @@
 //
 // Since the solver-portfolio PR this is the *exact reference backend* of the
 // placement portfolio (ilp/placement_solver.hpp). Larger crossbars go to the
-// heuristic backends; the shared SolverOptions carries both the exact
-// solver's budgets and the heuristics' knobs so one options struct can
-// parameterise any portfolio member.
+// heuristic backends; the shared SolverOptions carries the limits and the
+// seed every portfolio member understands.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +19,6 @@ namespace spe::ilp {
 
 struct SolverOptions {
   std::uint64_t node_limit = 50'000'000;  ///< Hard cap on explored nodes.
-  bool use_greedy_start = true;           ///< Seed the incumbent greedily.
 
   /// Cooperative wall-clock deadline in milliseconds; 0 = unbounded. The
   /// B&B checks it inside the recursion (every kDeadlineCheckNodes nodes) so
@@ -28,22 +26,14 @@ struct SolverOptions {
   /// incumbent instead of running unbounded. Heuristic backends check it
   /// between restarts/sweeps and inside their annealing loops. NOTE: wall
   /// clocks make *which* incumbent a run ends with machine-dependent; the
-  /// determinism contract (DESIGN.md §14) therefore only covers runs whose
-  /// limits are the work-based budgets below.
+  /// determinism contract (DESIGN.md §14) therefore only covers runs with
+  /// no time limit.
   double time_limit_ms = 0.0;
 
   /// Seed for the heuristic backends' RNG streams (ignored by the exact
-  /// B&B). Same seed + same work budgets => byte-identical solutions.
+  /// B&B). Same seed => byte-identical solutions (their work budgets are
+  /// fixed constants in grasp.cpp, lp_rounding.cpp and heuristic_state.hpp).
   std::uint64_t seed = 0x51EED;
-
-  // --- GRASP backend (ilp/grasp.cpp) ---------------------------------------
-  unsigned grasp_restarts = 8;      ///< seeded construct+improve restarts
-  double grasp_rcl_alpha = 0.3;     ///< RCL width: accept gain >= best*(1-a)
-  unsigned grasp_anneal_iters = 20'000;  ///< repair-annealing moves/restart
-  unsigned grasp_improve_iters = 4'000;  ///< objective local-search moves
-
-  // --- LP-relaxation rounding backend (ilp/lp_rounding.cpp) ----------------
-  unsigned lp_sweeps = 128;  ///< projection sweeps for the fractional guide
 };
 
 struct Solution {

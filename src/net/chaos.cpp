@@ -42,14 +42,6 @@ const char* to_string(ChaosAction action) noexcept {
   return "none";
 }
 
-bool ChaosConfig::enabled() const noexcept {
-  if (rates.any()) return true;
-  for (const auto& override_rates : per_opcode) {
-    if (override_rates.has_value() && override_rates->any()) return true;
-  }
-  return false;
-}
-
 void ChaosStats::note(ChaosAction action) noexcept {
   switch (action) {
     case ChaosAction::None: break;
@@ -83,7 +75,7 @@ std::string ChaosStats::to_string() const {
 }
 
 ChaosPolicy::ChaosPolicy(ChaosConfig config)
-    : config_(config), enabled_(config.enabled()) {}
+    : config_(config), enabled_(config.rates.any()) {}
 
 std::uint64_t ChaosPolicy::site_hash(std::uint64_t tag,
                                      const ChaosSite& site) const noexcept {
@@ -95,37 +87,32 @@ std::uint64_t ChaosPolicy::site_hash(std::uint64_t tag,
 
 ChaosAction ChaosPolicy::decide(const ChaosSite& site) const noexcept {
   if (!enabled_) return ChaosAction::None;
-  const ChaosRates* rates = &config_.rates;
-  if (site.opcode < config_.per_opcode.size() &&
-      config_.per_opcode[site.opcode].has_value()) {
-    rates = &*config_.per_opcode[site.opcode];
-  }
-  if (!rates->any()) return ChaosAction::None;
+  const ChaosRates& rates = config_.rates;
   // Fixed precedence, each action on its own hash stream: the first action
   // whose independent coin lands wins. Precedence puts the most disruptive
   // outcomes first so raising e.g. the delay rate never masks a reset.
-  if (rates->reset > 0.0 &&
-      unit_interval(site_hash(kResetTag, site)) < rates->reset) {
+  if (rates.reset > 0.0 &&
+      unit_interval(site_hash(kResetTag, site)) < rates.reset) {
     return ChaosAction::Reset;
   }
-  if (rates->drop > 0.0 &&
-      unit_interval(site_hash(kDropTag, site)) < rates->drop) {
+  if (rates.drop > 0.0 &&
+      unit_interval(site_hash(kDropTag, site)) < rates.drop) {
     return ChaosAction::Drop;
   }
-  if (rates->truncate > 0.0 &&
-      unit_interval(site_hash(kTruncateTag, site)) < rates->truncate) {
+  if (rates.truncate > 0.0 &&
+      unit_interval(site_hash(kTruncateTag, site)) < rates.truncate) {
     return ChaosAction::Truncate;
   }
-  if (rates->corrupt > 0.0 &&
-      unit_interval(site_hash(kCorruptTag, site)) < rates->corrupt) {
+  if (rates.corrupt > 0.0 &&
+      unit_interval(site_hash(kCorruptTag, site)) < rates.corrupt) {
     return ChaosAction::Corrupt;
   }
-  if (rates->duplicate > 0.0 &&
-      unit_interval(site_hash(kDuplicateTag, site)) < rates->duplicate) {
+  if (rates.duplicate > 0.0 &&
+      unit_interval(site_hash(kDuplicateTag, site)) < rates.duplicate) {
     return ChaosAction::Duplicate;
   }
-  if (rates->delay > 0.0 &&
-      unit_interval(site_hash(kDelayTag, site)) < rates->delay) {
+  if (rates.delay > 0.0 &&
+      unit_interval(site_hash(kDelayTag, site)) < rates.delay) {
     return ChaosAction::Delay;
   }
   return ChaosAction::None;

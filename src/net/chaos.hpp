@@ -13,7 +13,7 @@
 //            server connection id, or an endpoint hash — the hook owner
 //            picks something reproducible),
 //   event    the stream's running frame counter in that direction,
-//   opcode   the frame's opcode (per-opcode rate overrides key off this),
+//   opcode   the frame's opcode (part of the site hash),
 //   rx       direction: false = about to transmit, true = just received.
 //
 // Failure taxonomy (what lossy links and sick peers actually do):
@@ -37,11 +37,9 @@
 // Delay on the event-loop path) degrade to None rather than stall the
 // loop.
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "net/wire.hpp"
@@ -76,14 +74,9 @@ struct ChaosRates {
 
 struct ChaosConfig {
   std::uint64_t seed = 0xC4A05C4A05ull;
-  ChaosRates rates;  ///< default for every opcode
-  /// Per-opcode overrides, indexed by the raw opcode byte. An engaged entry
-  /// fully replaces `rates` for that opcode.
-  std::array<std::optional<ChaosRates>, 16> per_opcode{};
+  ChaosRates rates;  ///< the same for every opcode
   std::chrono::milliseconds delay_min{1};
   std::chrono::milliseconds delay_max{20};
-
-  [[nodiscard]] bool enabled() const noexcept;
 };
 
 /// One frame event on one byte stream (see file comment).

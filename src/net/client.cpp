@@ -17,6 +17,11 @@
 
 namespace spe::net {
 
+namespace {
+/// Bound on one non-blocking connect attempt (the retry loop adds backoff).
+constexpr int kConnectTimeoutMs = 1'000;
+}  // namespace
+
 Client::Client(ClientConfig config)
     : config_(std::move(config)), decoder_(config_.max_frame_bytes) {}
 
@@ -59,7 +64,7 @@ void Client::connect() {
       backoff = std::min(backoff * 2, config_.connect_backoff_max);
     }
     // Non-blocking connect so a black-holed peer (dropped SYNs, dead NAT
-    // entry) cannot pin this thread past connect_timeout.
+    // entry) cannot pin this thread past kConnectTimeoutMs.
     const int fd =
         ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
     if (fd < 0) {
@@ -69,13 +74,9 @@ void Client::connect() {
     int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
     if (rc != 0 && (errno == EINPROGRESS || errno == EINTR)) {
       pollfd pfd{fd, POLLOUT, 0};
-      const int timeout_ms =
-          config_.connect_timeout.count() > 0
-              ? static_cast<int>(config_.connect_timeout.count())
-              : -1;
       int ready;
       do {
-        ready = ::poll(&pfd, 1, timeout_ms);
+        ready = ::poll(&pfd, 1, kConnectTimeoutMs);
       } while (ready < 0 && errno == EINTR);
       if (ready == 0) {
         last_errno = ETIMEDOUT;

@@ -7,8 +7,8 @@
 //
 // connect() retries with bounded exponential backoff (a freshly exec'd
 // server may not be listening yet, and a cluster node mid-restart comes back
-// within a few doublings); each attempt is itself bounded by
-// connect_timeout, and every receive honours io_deadline via poll(). All
+// within a few doublings); each attempt is itself bounded by a fixed 1 s
+// connect timeout, and every receive honours io_deadline via poll(). All
 // failures are typed: ConnectError, NetTimeoutError (connect attempt or
 // response deadline expired), ProtocolError (malformed or unexpected bytes,
 // peer close), and RemoteError carrying the response Status plus the
@@ -39,7 +39,7 @@ public:
   using NetError::NetError;
 };
 
-/// A deadline expired: a single connect attempt outran connect_timeout, or
+/// A deadline expired: a single connect attempt outran the connect timeout, or
 /// no response arrived within io_deadline.
 class NetTimeoutError : public NetError {
 public:
@@ -74,7 +74,6 @@ struct ClientConfig {
   /// First retry delay; doubled per retry up to connect_backoff_max.
   std::chrono::milliseconds connect_retry_backoff{50};
   std::chrono::milliseconds connect_backoff_max{2'000};
-  std::chrono::milliseconds connect_timeout{1'000};  ///< per attempt; 0 = block
   std::chrono::milliseconds io_deadline{5'000};      ///< 0 = block forever
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Chaos injection on this client's I/O (nullptr = clean). Shared so one

@@ -59,7 +59,6 @@ public:
 };
 
 struct RetryConfig {
-  unsigned max_attempts = 8;  ///< total tries, including the first
   std::chrono::milliseconds backoff_base{2};
   std::chrono::milliseconds backoff_max{200};
   /// Fraction of the computed backoff replaced by deterministic jitter in

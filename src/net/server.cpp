@@ -23,6 +23,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr int kListenBacklog = 64;
+/// An op's response is abandoned (Status::Timeout) this long after its
+/// frame arrived, unless the frame's own deadline is sooner.
+constexpr std::chrono::milliseconds kRequestTimeout{5'000};
+/// A connection whose pending output has not moved a byte for this long is
+/// evicted by the sweep (a zero-window peer would pin its buffer forever).
+constexpr std::chrono::milliseconds kStallTimeout{10'000};
+/// Hard cap on one connection's un-flushed output; a slow consumer past it
+/// is closed rather than ballooning server memory.
+constexpr std::size_t kMaxOutputBuffer = std::size_t{8} << 20;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("spe::net::Server: ") + what + ": " +
                            std::strerror(errno));
@@ -58,7 +69,7 @@ std::uint16_t Server::start() {
                              config_.bind_address);
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, config_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -116,12 +127,12 @@ void Server::stop() {
     }
     // Anything still pending has outlived the drain budget: finish_pending
     // now answers unready futures with Status::Stopped immediately instead
-    // of blocking request_timeout per queued item — every in-flight op gets
+    // of blocking kRequestTimeout per queued item — every in-flight op gets
     // a typed response, and stop() stays bounded.
     if (pending_count_.load(std::memory_order_acquire) != 0)
       drain_expired_.store(true, std::memory_order_release);
     // Phase 3: completion threads finish their lanes (each item bounded by
-    // request_timeout) and exit; then the loop flushes and closes.
+    // kRequestTimeout) and exit; then the loop flushes and closes.
     completions_quit_.store(true, std::memory_order_release);
     for (auto& lane : lanes_) {
       {
@@ -463,7 +474,7 @@ void Server::submit_request(const std::shared_ptr<Conn>& conn, Frame&& frame) {
   // answer Busy with that wait as the retry-after hint — queueing it would
   // only burn shard time on a response the client must discard as late.
   const auto shed = [this, &conn, &frame](unsigned shard) {
-    if (!config_.deadline_shedding || frame.deadline_ms == 0) return false;
+    if (frame.deadline_ms == 0) return false;
     const std::uint64_t wait_ms =
         service_.estimated_queue_wait_ns(shard) / 1'000'000;
     if (wait_ms <= frame.deadline_ms) return false;
@@ -619,18 +630,11 @@ void Server::finish_pending(Pending& pending) {
   // timeout or the op's own deadline. Drain expiry (stop() past its
   // budget) short-circuits the wait entirely — unready ops answer Stopped
   // now, typed, instead of holding shutdown hostage one timeout at a time.
-  bool has_deadline = config_.request_timeout.count() > 0;
-  auto deadline = pending.received + config_.request_timeout;
-  if (pending.deadline_ms != 0) {
-    const auto op_deadline =
-        pending.received + std::chrono::milliseconds(pending.deadline_ms);
-    if (!has_deadline || op_deadline < deadline) deadline = op_deadline;
-    has_deadline = true;
-  }
-  if (drain_expired_.load(std::memory_order_acquire)) {
-    has_deadline = true;
-    deadline = Clock::now();
-  }
+  auto deadline = pending.received + kRequestTimeout;
+  if (pending.deadline_ms != 0)
+    deadline = std::min(deadline, pending.received +
+                                      std::chrono::milliseconds(pending.deadline_ms));
+  if (drain_expired_.load(std::memory_order_acquire)) deadline = Clock::now();
   Opcode opcode = Opcode::Scrub;
   switch (pending.kind) {
     case Pending::Kind::Read: opcode = Opcode::Read; break;
@@ -647,13 +651,12 @@ void Server::finish_pending(Pending& pending) {
     switch (pending.kind) {
       case Pending::Kind::Handler:
         // The cluster hook owns its own deadlines (migration batches can
-        // legitimately outlive request_timeout).
+        // legitimately outlive kRequestTimeout).
         response = cluster_->slow_path(std::move(pending.handler_frame));
         deliver(pending, response);
         return;
       case Pending::Kind::Read: {
-        if (has_deadline &&
-            pending.read_future.wait_until(deadline) != std::future_status::ready) {
+        if (pending.read_future.wait_until(deadline) != std::future_status::ready) {
           if (drain_expired_.load(std::memory_order_acquire)) {
             counters_.drain_aborted.fetch_add(1, std::memory_order_relaxed);
             response = make_error_response(opcode, Status::Stopped,
@@ -671,8 +674,7 @@ void Server::finish_pending(Pending& pending) {
         return;
       }
       case Pending::Kind::Write:
-        if (has_deadline &&
-            pending.write_future.wait_until(deadline) != std::future_status::ready) {
+        if (pending.write_future.wait_until(deadline) != std::future_status::ready) {
           if (drain_expired_.load(std::memory_order_acquire)) {
             counters_.drain_aborted.fetch_add(1, std::memory_order_relaxed);
             response = make_error_response(opcode, Status::Stopped,
@@ -856,8 +858,7 @@ void Server::flush(const std::shared_ptr<Conn>& conn) {
       conn->out.clear();
       conn->out_off = 0;
       flushed_all = true;
-    } else if (config_.max_output_buffer != 0 &&
-               conn->out.size() - conn->out_off > config_.max_output_buffer) {
+    } else if (conn->out.size() - conn->out_off > kMaxOutputBuffer) {
       // Slow consumer past the buffer cap: evict rather than balloon.
       over_cap = true;
     }
@@ -911,16 +912,14 @@ void Server::sweep_idle(Clock::time_point now) {
       continue;
     }
     // Stall eviction: output is pending but not a byte has moved for
-    // stall_timeout — a zero-window or wedged peer holding buffer hostage.
-    if (config_.stall_timeout.count() != 0) {
-      bool stalled = false;
-      {
-        std::lock_guard lock(conn->out_mutex);
-        stalled = conn->out_off < conn->out.size() &&
-                  now - conn->last_progress >= config_.stall_timeout;
-      }
-      if (stalled) stalled_victims.push_back(conn);
+    // kStallTimeout — a zero-window or wedged peer holding buffer hostage.
+    bool stalled = false;
+    {
+      std::lock_guard lock(conn->out_mutex);
+      stalled = conn->out_off < conn->out.size() &&
+                now - conn->last_progress >= kStallTimeout;
     }
+    if (stalled) stalled_victims.push_back(conn);
   }
   for (const auto& conn : idle_victims) {
     counters_.idle_closed.fetch_add(1, std::memory_order_relaxed);

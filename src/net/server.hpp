@@ -34,9 +34,14 @@
 //     the connection closes (the decoder is poisoned anyway).
 //   * idle_timeout: connections with no traffic and nothing in flight are
 //     closed by the sweep.
-//   * request_timeout: a future still unready past the deadline answers
-//     Status::Timeout (the shard still executes the op; only the response
-//     is abandoned).
+//   * request timeout (5 s, fixed): a future still unready past it, or past
+//     the frame's own deadline if that is sooner, answers Status::Timeout
+//     (the shard still executes the op; only the response is abandoned).
+//   * deadline shedding: a READ/WRITE whose declared deadline is shorter
+//     than the target shard's expected queue wait answers Status::Busy.
+//   * slow consumers (fixed): a connection whose pending output has not
+//     moved a byte for 10 s, or whose un-flushed output passes 8 MiB, is
+//     closed (counted as stalled_closed).
 //   * stop(): graceful drain-then-stop — stop accepting, answer queued
 //     frames with Status::Stopped, wait (bounded by drain_timeout) for
 //     in-flight completions to flush, then close everything and join.
@@ -97,26 +102,12 @@ public:
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; start() returns the kernel's pick
-  int listen_backlog = 64;
   unsigned max_connections = 64;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   unsigned max_inflight_per_conn = 64;  ///< 0 rejects every request (test hook)
   unsigned completion_threads = 2;
   std::chrono::milliseconds idle_timeout{30'000};    ///< 0 disables
-  std::chrono::milliseconds request_timeout{5'000};  ///< 0 disables
   std::chrono::milliseconds drain_timeout{5'000};    ///< stop() in-flight bound
-  /// Deadline-aware load shedding: a READ/WRITE whose declared deadline
-  /// is shorter than the target shard's expected queue wait is answered
-  /// Status::Busy (with the expected wait as the retry-after hint) instead
-  /// of being queued to time out. Frames without a deadline are unaffected.
-  bool deadline_shedding = true;
-  /// A connection whose output buffer has not drained at all for this long
-  /// is evicted by the sweep (a stalled/zero-window peer would otherwise
-  /// pin its buffer forever). 0 disables.
-  std::chrono::milliseconds stall_timeout{10'000};
-  /// Hard cap on one connection's un-flushed output; a slow consumer past
-  /// it is closed rather than ballooning server memory. 0 disables.
-  std::size_t max_output_buffer = std::size_t{8} << 20;
   /// Chaos injection on this server's frame I/O (nullptr = clean). The
   /// per-connection stream id is the accept sequence number, so a
   /// fixed-order connect sequence replays identical injections.
@@ -289,7 +280,7 @@ private:
                        Status status, std::uint64_t request_id,
                        std::span<const std::uint8_t> payload, bool may_block);
   /// Settles one pending request on its completion lane: waits the future
-  /// (bounded by request_timeout), encodes and delivers the response.
+  /// (bounded by the request timeout), encodes and delivers the response.
   void finish_pending(Pending& pending);
   void flush(const std::shared_ptr<Conn>& conn);
   void set_want_write(Conn& conn, bool want);

@@ -5,12 +5,10 @@
 namespace spe::runtime {
 
 RequestQueue::RequestQueue(unsigned shard_id, std::size_t capacity,
-                           BackpressurePolicy policy, bool coalesce_writes,
-                           ShardCounters& counters)
+                           BackpressurePolicy policy, ShardCounters& counters)
     : shard_id_(shard_id),
       capacity_(capacity ? capacity : 1),
       policy_(policy),
-      coalesce_writes_(coalesce_writes),
       counters_(counters) {}
 
 void RequestQueue::admit(std::unique_lock<std::mutex>& lock) {
@@ -44,7 +42,7 @@ std::future<std::vector<std::uint8_t>> RequestQueue::push_read(std::uint64_t blo
 std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
                                            std::vector<std::uint8_t> data) {
   std::unique_lock lock(mutex_);
-  if (coalesce_writes_ && !closed()) {
+  if (!closed()) {
     // Coalescing needs no queue slot, so it also bypasses backpressure.
     if (const auto it = open_writes_.find(block_addr); it != open_writes_.end()) {
       Request& open = pending_[it->second];
@@ -66,7 +64,7 @@ std::future<void> RequestQueue::push_write(std::uint64_t block_addr,
   waiter.enqueued = std::chrono::steady_clock::now();
   auto future = waiter.promise.get_future();
   req.write_waiters.push_back(std::move(waiter));
-  if (coalesce_writes_) open_writes_[block_addr] = pending_.size();
+  open_writes_[block_addr] = pending_.size();
   pending_.push_back(std::move(req));
   depth_.store(pending_.size(), std::memory_order_release);
   counters_.note_queue_depth(pending_.size());

@@ -41,7 +41,7 @@ struct Request {
 class RequestQueue {
 public:
   RequestQueue(unsigned shard_id, std::size_t capacity, BackpressurePolicy policy,
-               bool coalesce_writes, ShardCounters& counters);
+               ShardCounters& counters);
 
   /// Producer side. Throws QueueFullError when the Reject policy bounces
   /// the request, ServiceStoppedError once the queue is closed.
@@ -74,7 +74,6 @@ private:
   unsigned shard_id_;
   std::size_t capacity_;
   BackpressurePolicy policy_;
-  bool coalesce_writes_;
   ShardCounters& counters_;
 
   mutable std::mutex mutex_;

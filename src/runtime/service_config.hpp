@@ -161,7 +161,6 @@ struct ServiceConfig {
   unsigned worker_threads = 4;  ///< fixed pool; shard s is served by worker s % threads
   std::size_t queue_capacity = 1024;  ///< per-shard bounded MPSC queue
   BackpressurePolicy backpressure = BackpressurePolicy::Block;
-  bool coalesce_writes = true;  ///< merge queued same-block writes (latest wins)
 
   core::SpeMode mode = core::SpeMode::Serial;
   core::SnvmmConfig shard_memory = core::Snvmm::default_config();  ///< per-shard
@@ -179,24 +178,13 @@ struct ServiceConfig {
   // --- resilience (SEC-DED plane code over stored levels, src/ecc) --------
   bool ecc_enabled = true;       ///< verify+correct levels on every read
   bool verify_writes = true;     ///< program-verify after each write, remap on failure
-  unsigned max_read_retries = 3;   ///< re-senses after an uncorrectable read
-  unsigned max_write_retries = 3;  ///< re-programs before remapping to a spare
-  /// Exponential backoff between retries: base << attempt.
+  /// Exponential backoff between ECC retries (up to 3 re-senses per read,
+  /// 3 re-programs per write before a remap): base << attempt.
   std::chrono::microseconds retry_backoff_base{5};
   /// Scrub pass (piggybacked on the scavenger thread): per interval, each
   /// shard ages + ECC-verifies up to this many resident blocks in place.
   bool scrub_enabled = true;
   unsigned scrub_blocks_per_pass = 8;
-
-  // --- PoE placement for non-8x8 shard crossbars (DESIGN.md §14) ----------
-  /// Shards whose crossbar geometry is not the precomputed 8x8 default get
-  /// their PoE set from core::poes_for_crossbar, which runs the placement
-  /// solver portfolio once per geometry and memoises it. The seed drives
-  /// the heuristic backends (fixed seed => the same placement on every
-  /// host / restart); the per-backend time budget is a cut-off safety net
-  /// only (0 keeps the deterministic work-based budgets).
-  std::uint64_t placement_seed = 0x90E5;
-  double placement_time_limit_ms = 0.0;
 
   // --- deterministic fault injection (src/fault) --------------------------
   /// Off by default; when on, every shard gets a FaultInjector over one

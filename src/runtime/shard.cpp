@@ -18,6 +18,11 @@
 namespace spe::runtime {
 
 namespace {
+/// Re-senses after an uncorrectable read before the block is quarantined.
+constexpr unsigned kMaxReadRetries = 3;
+/// Re-programs of a write that fails program-verify before each remap.
+constexpr unsigned kMaxWriteRetries = 3;
+
 core::SnvmmConfig shard_memory_config(unsigned id, const ServiceConfig& config) {
   core::SnvmmConfig mem = config.shard_memory;
   mem.device_seed = config.device_seed_base + id;  // distinct manufactured instance
@@ -28,11 +33,10 @@ core::SnvmmConfig shard_memory_config(unsigned id, const ServiceConfig& config) 
 /// passes {} through so Specu keeps using its built-in table (identical
 /// behaviour to before the portfolio existed); any other geometry is solved
 /// once via the placement portfolio and memoised process-wide.
-std::vector<unsigned> shard_poes(const core::Snvmm& memory, const ServiceConfig& config) {
+std::vector<unsigned> shard_poes(const core::Snvmm& memory) {
   const auto& params = memory.device_params();
   if (params.rows == 8 && params.cols == 8) return {};
-  return core::poes_for_crossbar(params.rows, params.cols, config.placement_seed,
-                                 config.placement_time_limit_ms);
+  return core::poes_for_crossbar(params.rows, params.cols);
 }
 
 void write_u64(std::ostream& out, std::uint64_t v) {
@@ -45,21 +49,6 @@ std::uint64_t read_u64(std::istream& in, const char* what) {
   char buf[8];
   in.read(buf, 8);
   if (static_cast<std::size_t>(in.gcount()) != 8 || !in)
-    throw std::runtime_error(std::string("shard state: truncated while reading ") + what);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-  return v;
-}
-
-/// Like read_u64, but a clean end-of-stream yields nullopt instead of
-/// throwing — fields appended to the blob format (the rotation records) are
-/// simply absent in blobs written before they existed.
-std::optional<std::uint64_t> read_u64_opt(std::istream& in, const char* what) {
-  char buf[8];
-  in.read(buf, 8);
-  if (in.gcount() == 0) return std::nullopt;
-  if (static_cast<std::size_t>(in.gcount()) != 8)
     throw std::runtime_error(std::string("shard state: truncated while reading ") + what);
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i)
@@ -81,10 +70,9 @@ BankShard::BankShard(unsigned id, const ServiceConfig& config,
                      std::shared_ptr<const fault::FaultPlan> fault_plan)
     : id_(id),
       config_(config),
-      queue_(id, config.queue_capacity, config.backpressure, config.coalesce_writes,
-             counters_),
+      queue_(id, config.queue_capacity, config.backpressure, counters_),
       memory_(shard_memory_config(id, config)),
-      specu_(memory_, config.mode, shard_poes(memory_, config)) {
+      specu_(memory_, config.mode, shard_poes(memory_)) {
   if (fault_plan)
     injector_ = std::make_unique<fault::FaultInjector>(std::move(fault_plan),
                                                        memory_.device_id());
@@ -100,10 +88,9 @@ BankShard::BankShard(unsigned id, const ServiceConfig& config,
                      RestoredState state)
     : id_(id),
       config_(config),
-      queue_(id, config.queue_capacity, config.backpressure, config.coalesce_writes,
-             counters_),
+      queue_(id, config.queue_capacity, config.backpressure, counters_),
       memory_(std::move(state.image.nvmm)),
-      specu_(memory_, config.mode, shard_poes(memory_, config)) {
+      specu_(memory_, config.mode, shard_poes(memory_)) {
   if (memory_.device_id() != config.device_seed_base + id)
     throw std::runtime_error(
         "shard state: device seed mismatch (checkpoint is for a different "
@@ -140,21 +127,18 @@ BankShard::RestoredState BankShard::read_state(std::istream& in) {
     state.remap_table.emplace_back(addr, static_cast<std::uint32_t>(epoch));
   }
   state.scrub_cursor = read_u64(in, "scrub cursor");
-  // Rotation records (appended by the multi-tenant format revision): a
-  // pre-tenant blob simply ends at the scrub cursor.
-  if (const auto domain_count = read_u64_opt(in, "domain record count")) {
-    for (std::uint64_t d = 0; d < *domain_count; ++d) {
-      DomainRecord rec;
-      rec.tenant = static_cast<tenant::TenantId>(read_u64(in, "domain tenant id"));
-      rec.key_epoch = static_cast<std::uint32_t>(read_u64(in, "domain key epoch"));
-      rec.old_active = read_u64(in, "domain old-epoch flag") != 0;
-      rec.old_key_epoch = static_cast<std::uint32_t>(read_u64(in, "domain old epoch"));
-      const std::uint64_t rotating = read_u64(in, "domain rotating count");
-      rec.rotating.reserve(rotating);
-      for (std::uint64_t i = 0; i < rotating; ++i)
-        rec.rotating.push_back(read_u64(in, "domain rotating address"));
-      state.domains.push_back(std::move(rec));
-    }
+  const std::uint64_t domain_count = read_u64(in, "domain record count");
+  for (std::uint64_t d = 0; d < domain_count; ++d) {
+    DomainRecord rec;
+    rec.tenant = static_cast<tenant::TenantId>(read_u64(in, "domain tenant id"));
+    rec.key_epoch = static_cast<std::uint32_t>(read_u64(in, "domain key epoch"));
+    rec.old_active = read_u64(in, "domain old-epoch flag") != 0;
+    rec.old_key_epoch = static_cast<std::uint32_t>(read_u64(in, "domain old epoch"));
+    const std::uint64_t rotating = read_u64(in, "domain rotating count");
+    rec.rotating.reserve(rotating);
+    for (std::uint64_t i = 0; i < rotating; ++i)
+      rec.rotating.push_back(read_u64(in, "domain rotating address"));
+    state.domains.push_back(std::move(rec));
   }
   return state;
 }
@@ -221,7 +205,7 @@ bool BankShard::power_on(const core::Tpm& tpm, std::uint64_t measurement) {
 
 std::unique_ptr<core::Specu> BankShard::make_domain_specu() {
   return std::make_unique<core::Specu>(memory_, config_.mode,
-                                       shard_poes(memory_, config_));
+                                       shard_poes(memory_));
 }
 
 bool BankShard::power_on_tenants(const core::Tpm& tpm, std::uint64_t measurement) {
@@ -530,7 +514,7 @@ std::optional<QuarantineReason> BankShard::quarantine_reason(std::uint64_t addr)
 
 bool BankShard::verify_block(std::uint64_t addr, core::Snvmm::Block& block,
                              const std::vector<std::uint8_t>& checks) {
-  for (unsigned attempt = 0; attempt <= config_.max_read_retries; ++attempt) {
+  for (unsigned attempt = 0; attempt <= kMaxReadRetries; ++attempt) {
     if (attempt > 0) {
       counters_.read_retries.add();
       obs::Tracer::instance().instant("ecc.retry", addr, attempt);
@@ -622,7 +606,7 @@ void BankShard::write_block_guarded(std::uint64_t addr,
   }
 
   for (unsigned round = 0;; ++round) {
-    for (unsigned attempt = 0; attempt <= config_.max_write_retries; ++attempt) {
+    for (unsigned attempt = 0; attempt <= kMaxWriteRetries; ++attempt) {
       if (attempt > 0) {
         counters_.write_retries.add();
         obs::Tracer::instance().instant("ecc.retry", addr, attempt);

@@ -188,8 +188,8 @@ private:
     std::set<std::uint64_t> rotating;  ///< resting ciphertext still old-epoch
   };
 
-  /// Serialised rotation state of one domain (appended to save_state blobs
-  /// after the scrub cursor; absent in pre-tenant blobs).
+  /// Serialised rotation state of one domain (save_state blobs carry a
+  /// record count and the records after the scrub cursor).
   struct DomainRecord {
     tenant::TenantId tenant = 0;
     std::uint32_t key_epoch = 0;

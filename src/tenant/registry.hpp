@@ -30,8 +30,6 @@ using TenantId = std::uint32_t;
 /// The implicit default/admin key domain (tokenless frames, unclaimed ranges).
 inline constexpr TenantId kDefaultTenant = 0;
 
-enum class QosClass : std::uint8_t { BestEffort = 0, Standard = 1, Premium = 2 };
-
 /// Half-open block-address range [begin, end).
 struct AddrRange {
   std::uint64_t begin = 0;
@@ -49,7 +47,6 @@ struct TenantSpec {
   std::uint64_t key_seed = 0;      ///< per-tenant key-derivation seed
   std::uint64_t block_quota = 0;   ///< max resident blocks; 0 = unlimited
   std::uint32_t max_inflight = 0;  ///< max concurrent requests; 0 = unlimited
-  QosClass qos = QosClass::Standard;
 };
 
 /// Per-tenant counters, exported as labeled metrics. All relaxed atomics:

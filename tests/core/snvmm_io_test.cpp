@@ -108,7 +108,7 @@ TEST_F(SnvmmIoTest, FileRoundTrip) {
   EXPECT_THROW((void)load_image_file(path + ".missing"), std::runtime_error);
 }
 
-// --- v2 format: CRCs, journal region, v1 compatibility ----------------------
+// --- v2 format: CRCs, journal region, v1 rejection -------------------------
 
 namespace v2 {
 std::string u64le(std::uint64_t v) {
@@ -215,8 +215,9 @@ TEST_F(SnvmmIoTest, ShortReadInsideBlockRecordIsRejected) {
   }
 }
 
-TEST_F(SnvmmIoTest, LoadsVersion1ImagesAndResavesThemAsVersion2) {
-  // Hand-craft a v1 image (no CRCs, no journal): header + one zeroed block.
+TEST_F(SnvmmIoTest, RejectsVersion1Images) {
+  // A well-formed v1 image (no CRCs, no journal): header + one zeroed block.
+  // v1 is no longer a supported format; both loaders reject its magic.
   const std::size_t levels =
       static_cast<std::size_t>(nvmm_.config().units_per_block) *
       nvmm_.config().base_params.cell_count();
@@ -234,20 +235,18 @@ TEST_F(SnvmmIoTest, LoadsVersion1ImagesAndResavesThemAsVersion2) {
   v1 += v2::u64le(levels);        // level count
   v1 += std::string(levels, '\0');
 
-  std::stringstream in(v1);
-  Snvmm loaded = load_image(in);
-  ASSERT_EQ(loaded.block_count(), 1u);
-  EXPECT_TRUE(loaded.find_block(5)->encrypted);
-  EXPECT_TRUE(loaded.journal().empty());
-
-  // Re-saving upgrades the image: v2 magic, per-block CRCs, journal region.
-  std::stringstream out;
-  save_image(loaded, out);
-  const std::string upgraded = out.str();
-  EXPECT_EQ(upgraded.substr(0, 8), "SPENVMM2");
-  std::stringstream reread(upgraded);
-  const Snvmm again = load_image(reread);  // strict: CRCs verify
-  EXPECT_EQ(again.block_count(), 1u);
+  for (const bool checked : {false, true}) {
+    std::stringstream in(v1);
+    try {
+      if (checked)
+        (void)load_image_checked(in);
+      else
+        (void)load_image(in);
+      FAIL() << "expected bad-magic rejection (checked=" << checked << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST_F(SnvmmIoTest, CheckedLoadDropsCorruptJournalEntries) {

@@ -56,9 +56,9 @@ TEST(GreedyCover, NeverExceedsCap) {
 }
 
 TEST(SolveFixedPoes, FourteenPoesCoverEverything) {
-  SolverOptions opt;
-  opt.node_limit = 4'000'000;
-  const auto placement = solve_fixed_poes(8, 8, 14, opt);
+  PortfolioOptions opt;
+  opt.base.node_limit = 4'000'000;
+  const auto placement = solve_fixed_poes_portfolio(8, 8, 14, opt);
   ASSERT_TRUE(placement.feasible);
   EXPECT_EQ(placement.poes.size(), 14u);
   EXPECT_EQ(placement.uncovered_cells(), 0u);
@@ -69,9 +69,9 @@ TEST(SolveFixedPoes, FourteenPoesCoverEverything) {
 }
 
 TEST(SolveFixedPoes, CountsAreConsistent) {
-  SolverOptions opt;
-  opt.node_limit = 2'000'000;
-  const auto placement = solve_fixed_poes(8, 8, 12, opt);
+  PortfolioOptions opt;
+  opt.base.node_limit = 2'000'000;
+  const auto placement = solve_fixed_poes_portfolio(8, 8, 12, opt);
   ASSERT_TRUE(placement.feasible);
   EXPECT_EQ(placement.single_covered_cells() + placement.overlapped_cells() +
                 placement.uncovered_cells(),
@@ -120,7 +120,7 @@ TEST(SolveFixedPoesShapes, CustomShapesRespected) {
   // Trivial shapes: each PoE covers only itself -> fixed count k covers k.
   std::vector<std::vector<unsigned>> shapes(9);
   for (unsigned p = 0; p < 9; ++p) shapes[p] = {p};
-  const auto placement = solve_fixed_poes_shapes(shapes, 9, 9);
+  const auto placement = solve_fixed_poes_shapes_portfolio(shapes, 9, 9);
   ASSERT_TRUE(placement.feasible);
   EXPECT_EQ(placement.poes.size(), 9u);
   EXPECT_EQ(placement.uncovered_cells(), 0u);

@@ -231,21 +231,5 @@ TEST(Portfolio, DefaultScheduleShapes) {
   EXPECT_LE(large.back().options.node_limit, 2'000'000u);
 }
 
-TEST(Portfolio, FixedCountMatchesClassicPathOnEightByEight) {
-  // The portfolio's fixed-count solve must agree with the classic
-  // single-solver entry point on feasibility and the coverage accounting.
-  SolverOptions opt;
-  opt.node_limit = 2'000'000;
-  const PoePlacement classic = solve_fixed_poes(8, 8, 14, opt);
-  PortfolioOptions popt;
-  popt.base = opt;
-  const PoePlacement portfolio = solve_fixed_poes_portfolio(8, 8, 14, popt);
-  ASSERT_TRUE(classic.feasible);
-  ASSERT_TRUE(portfolio.feasible);
-  EXPECT_EQ(portfolio.poes.size(), 14u);
-  EXPECT_EQ(portfolio.uncovered_cells(), 0u);
-  for (unsigned c : portfolio.coverage) EXPECT_LE(c, 2u);
-}
-
 }  // namespace
 }  // namespace spe::ilp

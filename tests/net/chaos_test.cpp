@@ -76,15 +76,6 @@ TEST(Chaos, ZeroRatesDisable) {
               ChaosAction::None);
 }
 
-TEST(Chaos, PerOpcodeOverrideReplacesDefaults) {
-  ChaosConfig cfg = storm_config(11);
-  cfg.per_opcode[static_cast<std::uint8_t>(Opcode::Ping)] = ChaosRates{};  // clean
-  ChaosPolicy policy(cfg);
-  for (std::uint64_t event = 0; event < 256; ++event)
-    EXPECT_EQ(policy.decide({.stream = 1, .event = event, .opcode = 1, .rx = false}),
-              ChaosAction::None);
-}
-
 TEST(Chaos, DerivedParametersStayInBounds) {
   ChaosPolicy policy(storm_config(13));
   for (std::uint64_t event = 0; event < 256; ++event) {

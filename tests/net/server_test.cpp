@@ -1,7 +1,7 @@
 // Loopback integration tests for the epoll server + blocking client
 // (src/net): request round-trips, admission control, protocol-error
-// handling, abrupt client death, graceful stop under load, and idle
-// sweeping. Everything binds 127.0.0.1 on an ephemeral port; the suite is
+// handling, the slow-consumer output cap, abrupt client death, graceful
+// stop under load, and idle sweeping. Everything binds 127.0.0.1 on an ephemeral port; the suite is
 // part of the "net" ctest label, which CI also runs under TSan.
 
 #include "net/client.hpp"
@@ -12,8 +12,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -173,6 +175,59 @@ TEST(NetServer, OversizedFrameIsRejectedAndConnectionCloses) {
   EXPECT_EQ(reply.status, Status::BadRequest);
   // The server closed the poisoned connection; the next RPC fails.
   EXPECT_THROW((void)client.read_block(0), NetError);
+}
+
+TEST(NetServer, SlowConsumerPastOutputCapIsClosed) {
+  Loopback net;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A tiny receive window keeps the kernel from absorbing the echoes, so
+  // they pile up in the server's per-connection output buffer.
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(net.port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+
+  // ~24 MiB of PING echoes that are never read: three times the 8 MiB cap.
+  // Once the server closes the connection, send fails (no SIGPIPE) and the
+  // burst stops early.
+  const std::vector<std::uint8_t> echo(kDefaultMaxFrameBytes - 4096, 0x5A);
+  for (std::uint64_t id = 1; id <= 24; ++id) {
+    const std::vector<std::uint8_t> bytes = encode_frame(make_ping(id, echo));
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    if (off < bytes.size()) break;
+  }
+
+  // Well under the 10 s stall timeout, so only the cap can close it in time.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (net.server.counters().stalled_closed == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(10ms);
+  EXPECT_GE(net.server.counters().stalled_closed, 1u);
+
+  // The server closed its end: draining what the kernel already buffered
+  // ends in EOF or a reset, not a receive timeout.
+  const timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  bool closed = false;
+  for (;;) {
+    std::uint8_t buf[1 << 16];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n > 0) continue;
+    closed = n == 0 || errno == ECONNRESET;
+    break;
+  }
+  ::close(fd);
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(net.server.running());
 }
 
 TEST(NetServer, SurvivesAbruptClientDeathMidLoad) {

@@ -105,82 +105,75 @@ TEST(BatchSubmit, WriteBatchValidatesFlatBufferSize) {
 // exactly the last version written to its block before the read went in —
 // coalescing (latest-wins) is not allowed to reorder across a read.
 TEST(BatchSubmit, FuzzCorpusPreservesPerBlockOrdering) {
-  for (const bool coalesce : {true, false}) {
-    ServiceConfig cfg = batch_config();
-    cfg.coalesce_writes = coalesce;
-    MemoryService service(cfg);
-    constexpr std::uint64_t kBlocks = 12;
-    std::map<std::uint64_t, unsigned> last_version;
-    std::vector<std::pair<std::future<std::vector<std::uint8_t>>, unsigned>>
-        pending_reads;  // future + version it must observe
-    std::vector<std::future<void>> pending_writes;
-    std::vector<std::pair<std::uint64_t, unsigned>> read_addrs;
+  MemoryService service(batch_config());
+  constexpr std::uint64_t kBlocks = 12;
+  std::map<std::uint64_t, unsigned> last_version;
+  std::vector<std::pair<std::future<std::vector<std::uint8_t>>, unsigned>>
+      pending_reads;  // future + version it must observe
+  std::vector<std::future<void>> pending_writes;
+  std::vector<std::pair<std::uint64_t, unsigned>> read_addrs;
 
-    std::uint64_t state = 0xB41C9A5Eu;
-    unsigned next_version = 1;
-    for (unsigned op = 0; op < 400; ++op) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      const std::uint64_t addr = (state >> 33) % kBlocks;
-      switch ((state >> 13) % 4) {
-        case 0: {  // scalar write
+  std::uint64_t state = 0xB41C9A5Eu;
+  unsigned next_version = 1;
+  for (unsigned op = 0; op < 400; ++op) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t addr = (state >> 33) % kBlocks;
+    switch ((state >> 13) % 4) {
+      case 0: {  // scalar write
+        const unsigned v = next_version++;
+        pending_writes.push_back(service.submit_write(
+            addr, tagged_block(addr, v, service.block_bytes())));
+        last_version[addr] = v;
+        break;
+      }
+      case 1: {  // batched write burst, includes a same-addr rewrite
+        std::vector<std::uint64_t> addrs{addr, (addr + 1) % kBlocks, addr};
+        std::vector<std::uint8_t> flat;
+        for (const std::uint64_t a : addrs) {
           const unsigned v = next_version++;
-          pending_writes.push_back(service.submit_write(
-              addr, tagged_block(addr, v, service.block_bytes())));
-          last_version[addr] = v;
-          break;
+          const auto block = tagged_block(a, v, service.block_bytes());
+          flat.insert(flat.end(), block.begin(), block.end());
+          last_version[a] = v;
         }
-        case 1: {  // batched write burst, includes a same-addr rewrite
-          std::vector<std::uint64_t> addrs{addr, (addr + 1) % kBlocks, addr};
-          std::vector<std::uint8_t> flat;
-          for (const std::uint64_t a : addrs) {
-            const unsigned v = next_version++;
-            const auto block = tagged_block(a, v, service.block_bytes());
-            flat.insert(flat.end(), block.begin(), block.end());
-            last_version[a] = v;
-          }
-          for (auto& f : service.submit_write_batch(addrs, flat))
-            pending_writes.push_back(std::move(f));
-          break;
+        for (auto& f : service.submit_write_batch(addrs, flat))
+          pending_writes.push_back(std::move(f));
+        break;
+      }
+      case 2: {  // scalar read
+        const auto it = last_version.find(addr);
+        if (it == last_version.end()) break;
+        pending_reads.emplace_back(service.submit_read(addr), it->second);
+        read_addrs.emplace_back(addr, it->second);
+        break;
+      }
+      default: {  // batched read burst over the written set
+        std::vector<std::uint64_t> addrs;
+        std::vector<unsigned> expect;
+        for (std::uint64_t a = addr; a < addr + 4; ++a) {
+          const auto it = last_version.find(a % kBlocks);
+          if (it == last_version.end()) continue;
+          addrs.push_back(a % kBlocks);
+          expect.push_back(it->second);
         }
-        case 2: {  // scalar read
-          const auto it = last_version.find(addr);
-          if (it == last_version.end()) break;
-          pending_reads.emplace_back(service.submit_read(addr), it->second);
-          read_addrs.emplace_back(addr, it->second);
-          break;
+        auto futures = service.submit_read_batch(addrs);
+        for (std::size_t i = 0; i < futures.size(); ++i) {
+          pending_reads.emplace_back(std::move(futures[i]), expect[i]);
+          read_addrs.emplace_back(addrs[i], expect[i]);
         }
-        default: {  // batched read burst over the written set
-          std::vector<std::uint64_t> addrs;
-          std::vector<unsigned> expect;
-          for (std::uint64_t a = addr; a < addr + 4; ++a) {
-            const auto it = last_version.find(a % kBlocks);
-            if (it == last_version.end()) continue;
-            addrs.push_back(a % kBlocks);
-            expect.push_back(it->second);
-          }
-          auto futures = service.submit_read_batch(addrs);
-          for (std::size_t i = 0; i < futures.size(); ++i) {
-            pending_reads.emplace_back(std::move(futures[i]), expect[i]);
-            read_addrs.emplace_back(addrs[i], expect[i]);
-          }
-          break;
-        }
+        break;
       }
     }
-    for (auto& f : pending_writes) f.get();
-    for (std::size_t i = 0; i < pending_reads.size(); ++i) {
-      const auto data = pending_reads[i].first.get();
-      EXPECT_EQ(data, tagged_block(read_addrs[i].first, read_addrs[i].second,
-                                   service.block_bytes()))
-          << "read " << i << " of block " << read_addrs[i].first
-          << " (coalesce=" << coalesce << ")";
-    }
-    if (coalesce) {
-      obs::MetricsRegistry m;
-      service.fill_metrics(m);
-      EXPECT_GT(m.at<obs::Counter>("spe_writes_coalesced_total").value(), 0u);
-    }
   }
+  for (auto& f : pending_writes) f.get();
+  for (std::size_t i = 0; i < pending_reads.size(); ++i) {
+    const auto data = pending_reads[i].first.get();
+    EXPECT_EQ(data, tagged_block(read_addrs[i].first, read_addrs[i].second,
+                                 service.block_bytes()))
+        << "read " << i << " of block " << read_addrs[i].first;
+  }
+  obs::MetricsRegistry m;
+  service.fill_metrics(m);
+  EXPECT_GT(m.at<obs::Counter>("spe_writes_coalesced_total").value(), 0u);
 }
 
 // Reject backpressure: flooding one single-worker shard through the batch
@@ -191,12 +184,12 @@ TEST(BatchSubmit, RejectBackpressureResolvesBouncedFuturesInPlace) {
   cfg.shards = 1;
   cfg.worker_threads = 1;
   cfg.queue_capacity = 2;
-  cfg.coalesce_writes = false;
   cfg.backpressure = BackpressurePolicy::Reject;
   MemoryService service(cfg);
 
+  // Distinct blocks, so no write coalesces into a queued one past the cap.
   std::vector<std::uint64_t> addrs;
-  for (unsigned i = 0; i < 300; ++i) addrs.push_back(i % 8);
+  for (unsigned i = 0; i < 300; ++i) addrs.push_back(i);
   auto futures =
       service.submit_write_batch(addrs, flatten(addrs, 9, service.block_bytes()));
   ASSERT_EQ(futures.size(), addrs.size());

@@ -137,14 +137,15 @@ TEST(MemoryService, ConcurrentMixedTrafficStaysBitExact) {
 TEST(MemoryService, TinyQueuesWithBlockPolicyStayLive) {
   ServiceConfig cfg = small_config();
   cfg.queue_capacity = 1;
-  cfg.coalesce_writes = false;
   MemoryService service(cfg);
   std::vector<std::thread> clients;
   std::atomic<unsigned> completed{0};
   for (unsigned c = 0; c < 4; ++c)
     clients.emplace_back([&, c] {
       for (unsigned i = 0; i < 50; ++i) {
-        const std::uint64_t addr = (c * 50 + i) % 16;
+        // Distinct blocks: a write can never coalesce into a queued one, so
+        // every write needs its own slot of the depth-1 queues.
+        const std::uint64_t addr = c * 50 + i;
         service.write(addr, tagged_block(addr, i, service.block_bytes()));
         completed.fetch_add(1);
       }
@@ -158,17 +159,16 @@ TEST(MemoryService, RejectPolicySurfacesQueueFullToSubmitter) {
   cfg.shards = 1;
   cfg.worker_threads = 1;
   cfg.queue_capacity = 2;
-  cfg.coalesce_writes = false;
   cfg.backpressure = BackpressurePolicy::Reject;
   MemoryService service(cfg);
   // Flood one shard faster than its worker can drain; with depth 2 some
   // submission must bounce, and every accepted future must still complete.
+  // Every write targets a distinct block, so none coalesces past the cap.
   unsigned rejected = 0;
   std::vector<std::future<void>> accepted;
   for (unsigned i = 0; i < 400; ++i) {
     try {
-      accepted.push_back(
-          service.submit_write(i % 8, tagged_block(i % 8, i, service.block_bytes())));
+      accepted.push_back(service.submit_write(i, tagged_block(i, i, service.block_bytes())));
     } catch (const QueueFullError& e) {
       EXPECT_EQ(e.shard(), 0u);
       ++rejected;

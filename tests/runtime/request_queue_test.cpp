@@ -13,7 +13,7 @@ std::vector<std::uint8_t> payload(std::uint8_t fill) { return std::vector<std::u
 
 TEST(RequestQueue, RejectPolicyThrowsTypedErrorWhenFull) {
   ShardCounters counters;
-  RequestQueue q(3, 2, BackpressurePolicy::Reject, /*coalesce=*/false, counters);
+  RequestQueue q(3, 2, BackpressurePolicy::Reject, counters);
   auto f1 = q.push_write(1, payload(1));
   auto f2 = q.push_write(2, payload(2));
   try {
@@ -30,7 +30,7 @@ TEST(RequestQueue, RejectPolicyThrowsTypedErrorWhenFull) {
 
 TEST(RequestQueue, BlockPolicyWaitsForDrain) {
   ShardCounters counters;
-  RequestQueue q(0, 1, BackpressurePolicy::Block, /*coalesce=*/false, counters);
+  RequestQueue q(0, 1, BackpressurePolicy::Block, counters);
   auto f1 = q.push_write(1, payload(1));
   std::atomic<bool> second_admitted{false};
   std::thread producer([&] {
@@ -48,7 +48,7 @@ TEST(RequestQueue, BlockPolicyWaitsForDrain) {
 
 TEST(RequestQueue, SameBlockWritesCoalesceLatestWins) {
   ShardCounters counters;
-  RequestQueue q(0, 8, BackpressurePolicy::Reject, /*coalesce=*/true, counters);
+  RequestQueue q(0, 8, BackpressurePolicy::Reject, counters);
   auto f1 = q.push_write(7, payload(0xAA));
   auto f2 = q.push_write(7, payload(0xBB));
   auto f3 = q.push_write(9, payload(0xCC));
@@ -64,7 +64,7 @@ TEST(RequestQueue, SameBlockWritesCoalesceLatestWins) {
 
 TEST(RequestQueue, CoalescingBypassesBackpressure) {
   ShardCounters counters;
-  RequestQueue q(0, 1, BackpressurePolicy::Reject, /*coalesce=*/true, counters);
+  RequestQueue q(0, 1, BackpressurePolicy::Reject, counters);
   auto f1 = q.push_write(5, payload(1));
   auto f2 = q.push_write(5, payload(2));  // full queue, but merges in place
   EXPECT_EQ(q.depth(), 1u);
@@ -74,7 +74,7 @@ TEST(RequestQueue, CoalescingBypassesBackpressure) {
 
 TEST(RequestQueue, InterveningReadStopsCoalescing) {
   ShardCounters counters;
-  RequestQueue q(0, 8, BackpressurePolicy::Reject, /*coalesce=*/true, counters);
+  RequestQueue q(0, 8, BackpressurePolicy::Reject, counters);
   auto w1 = q.push_write(7, payload(0xAA));
   auto r = q.push_read(7);
   auto w2 = q.push_write(7, payload(0xBB));  // must NOT merge across the read
@@ -90,7 +90,7 @@ TEST(RequestQueue, InterveningReadStopsCoalescing) {
 
 TEST(RequestQueue, DrainResetsCoalescingWindow) {
   ShardCounters counters;
-  RequestQueue q(0, 8, BackpressurePolicy::Reject, /*coalesce=*/true, counters);
+  RequestQueue q(0, 8, BackpressurePolicy::Reject, counters);
   auto f1 = q.push_write(7, payload(1));
   EXPECT_EQ(q.drain().size(), 1u);
   auto f2 = q.push_write(7, payload(2));  // earlier write already executing
@@ -100,7 +100,7 @@ TEST(RequestQueue, DrainResetsCoalescingWindow) {
 
 TEST(RequestQueue, CloseWakesBlockedProducerWithStoppedError) {
   ShardCounters counters;
-  RequestQueue q(4, 1, BackpressurePolicy::Block, /*coalesce=*/false, counters);
+  RequestQueue q(4, 1, BackpressurePolicy::Block, counters);
   auto f1 = q.push_write(1, payload(1));
   std::atomic<bool> threw{false};
   std::thread producer([&] {
@@ -120,7 +120,7 @@ TEST(RequestQueue, CloseWakesBlockedProducerWithStoppedError) {
 
 TEST(RequestQueue, CloseDoesNotCountAsQueueRejection) {
   ShardCounters counters;
-  RequestQueue q(0, 4, BackpressurePolicy::Reject, /*coalesce=*/false, counters);
+  RequestQueue q(0, 4, BackpressurePolicy::Reject, counters);
   q.close();
   EXPECT_THROW((void)q.push_write(1, payload(1)), ServiceStoppedError);
   EXPECT_EQ(counters.rejected.value(), 0u);  // stopped, not backpressured
@@ -128,7 +128,7 @@ TEST(RequestQueue, CloseDoesNotCountAsQueueRejection) {
 
 TEST(RequestQueue, TracksQueueHighWaterMark) {
   ShardCounters counters;
-  RequestQueue q(0, 16, BackpressurePolicy::Block, /*coalesce=*/false, counters);
+  RequestQueue q(0, 16, BackpressurePolicy::Block, counters);
   std::vector<std::future<std::vector<std::uint8_t>>> futures;
   for (int i = 0; i < 5; ++i) futures.push_back(q.push_read(static_cast<std::uint64_t>(i)));
   EXPECT_EQ(counters.queue_high_water.load(), 5u);
