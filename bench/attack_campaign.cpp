@@ -11,7 +11,7 @@
 // attacker (each with their own token secret) and an unauthenticated admin
 // (default-domain) client.
 //
-// Acceptance invariants (exit status is the check):
+// Invariants (checked by the campaign driver, campaign.hpp):
 //   * zero recovered plaintext bits — no probe against the victim's range
 //     ever returns payload bytes, and the stolen-array trials (decrypting
 //     victim ciphertext under the attacker's key and 256 random keys)
@@ -19,28 +19,29 @@
 //   * every denial is typed — AccessDenied / QuotaExceeded / BadRequest,
 //     never a hang, a crash, or an untyped error;
 //   * a full key rotation completes under live victim traffic with zero
-//     failed victim ops, and every victim block byte-verifies afterwards.
+//     failed victim ops, and every victim block byte-verifies afterwards;
+//   * the quota is enforced and a tokenless admin op is a BadRequest.
 //
-// Determinism: the driver is single-threaded and synchronous, every trial
-// count is fixed, and the cipher-level analyses are pure functions of
-// SPE_ATTACK_SEED — so two runs with the same seed print byte-identical
-// stdout (the CI reproducibility diff). Timing goes to stderr, never stdout.
+// Determinism: the client side is single-threaded and synchronous, every
+// trial count is fixed, and the cipher-level analyses are pure functions of
+// the seed — so two runs with the same seed produce byte-identical reports
+// (the driver replays each seed in-process). Timing never enters the report.
 //
-// Overrides: SPE_ATTACK_SEED (trial RNG + cipher analyses),
-//            SPE_ATTACK_PROBES (probes per scenario),
+// Flags: --seeds N | A..B (trial RNG + cipher analyses; default 42).
+// Overrides: SPE_ATTACK_PROBES (probes per scenario),
 //            SPE_ATTACK_KEYS (brute-force key trials).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "campaign.hpp"
 #include "core/attacks.hpp"
 #include "core/calibration.hpp"
 #include "core/spe_cipher.hpp"
@@ -57,6 +58,8 @@ using spe::net::ClientConfig;
 using spe::net::Frame;
 using spe::net::RemoteError;
 using spe::net::Status;
+using spe::benchutil::appendf;
+using spe::benchutil::payload_for;
 
 constexpr std::uint32_t kVictim = 1;
 constexpr std::uint32_t kAttacker = 2;
@@ -66,7 +69,7 @@ constexpr std::uint64_t kVictimBase = 0;       // victim owns [0, 1024)
 constexpr std::uint64_t kAttackerBase = 1024;  // attacker owns [1024, 2048)
 constexpr std::uint64_t kAttackerQuota = 16;
 
-struct CampaignResult {
+struct ProbeTally {
   std::uint64_t probes = 0;
   std::uint64_t denied = 0;           ///< typed AccessDenied answers
   std::uint64_t quota_denied = 0;     ///< typed QuotaExceeded answers
@@ -101,18 +104,10 @@ spe::runtime::ServiceConfig campaign_config() {
   return cfg;
 }
 
-std::vector<std::uint8_t> payload_for(std::uint64_t addr, unsigned block_bytes,
-                                      unsigned generation) {
-  std::vector<std::uint8_t> data(block_bytes);
-  for (unsigned i = 0; i < block_bytes; ++i)
-    data[i] = static_cast<std::uint8_t>(addr * 13 + i * 7 + generation * 101);
-  return data;
-}
-
 /// Issues one request expecting a typed denial. Counts the matching status,
 /// `unexpected` otherwise; an Ok read against the victim's range would add
 /// its payload bits to recovered_bits.
-void expect_denied(Client& client, Frame frame, Status want, CampaignResult& r,
+void expect_denied(Client& client, Frame frame, Status want, ProbeTally& r,
                    std::uint64_t* typed_counter) {
   ++r.probes;
   try {
@@ -129,38 +124,25 @@ void expect_denied(Client& client, Frame frame, Status want, CampaignResult& r,
   }
 }
 
-/// Blocks until the scavenger has re-encrypted every resident block, so the
-/// next rotation's scheduled count is a pure function of the working set.
-bool quiesce_encrypted(spe::runtime::MemoryService& service) {
+/// Polls `done` every millisecond for up to 30 s; false on timeout.
+template <typename Pred>
+bool wait_until(Pred&& done) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.encrypted_fraction() < 1.0) {
+  while (!done()) {
     if (std::chrono::steady_clock::now() > deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
 }
 
-bool wait_rotation_drained(spe::runtime::MemoryService& service,
-                           std::uint32_t tenant) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.rotation_pending(tenant) != 0) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-}  // namespace
-
-int main() {
-  const std::uint64_t seed = spe::benchutil::env_or_u64("SPE_ATTACK_SEED", 42);
+spe::benchutil::CampaignResult attack(std::uint64_t seed) {
   const unsigned probes = std::max(4u, spe::benchutil::env_or("SPE_ATTACK_PROBES", 16));
   const unsigned key_trials = std::max(16u, spe::benchutil::env_or("SPE_ATTACK_KEYS", 256));
-
-  spe::benchutil::banner("Multi-tenant attack campaign (wire-level, seeded)",
-                         "Sections 3 and 6 threat model over the v4 tenant wire");
-  std::printf("seed=%llu probes/scenario=%u key-trials=%u\n\n",
-              static_cast<unsigned long long>(seed), probes, key_trials);
+  std::string report =
+      spe::benchutil::banner_text("Multi-tenant attack campaign (wire-level, seeded)",
+                                  "Sections 3 and 6 threat model over the v4 tenant wire");
+  appendf(report, "seed=%llu probes/scenario=%u key-trials=%u\n\n",
+          static_cast<unsigned long long>(seed), probes, key_trials);
 
   spe::runtime::ServiceConfig cfg = campaign_config();
   const std::shared_ptr<spe::tenant::TenantRegistry> registry = cfg.tenants;
@@ -182,7 +164,7 @@ int main() {
   admin.set_tenant(0, 0);            // v4 identity (admin ops need the ext)
 
   const unsigned block_bytes = service.block_bytes();
-  CampaignResult r;
+  ProbeTally r;
   spe::util::Xoshiro256ss rng(seed ^ 0xA77AC4C4A39A16ull);
 
   // --- phase 0: seed both tenants' working sets ----------------------------
@@ -198,8 +180,8 @@ int main() {
     const std::uint64_t addr = kAttackerBase + i;
     attacker.write_block(addr, payload_for(addr, block_bytes, 0));
   }
-  std::printf("[seed] victim blocks=%u attacker blocks=%u block_bytes=%u\n",
-              kVictimBlocks, kAttackerSeedBlocks, block_bytes);
+  appendf(report, "[seed] victim blocks=%u attacker blocks=%u block_bytes=%u\n",
+          kVictimBlocks, kAttackerSeedBlocks, block_bytes);
 
   // --- scenario A: cross-tenant read/write probes --------------------------
   for (unsigned i = 0; i < probes; ++i) {
@@ -215,8 +197,8 @@ int main() {
   // path bypass exists for any identity.
   expect_denied(admin, spe::net::make_read_request(0, kVictimBase + 17),
                 Status::AccessDenied, r, &r.denied);
-  std::printf("[cross-tenant] probes=%u denied=%llu\n", 2 * probes + 1,
-              static_cast<unsigned long long>(r.denied));
+  appendf(report, "[cross-tenant] probes=%u denied=%llu\n", 2 * probes + 1,
+          static_cast<unsigned long long>(r.denied));
 
   // --- scenario B: token forgery -------------------------------------------
   // Random tokens, plus structurally-correct MACs under the wrong secret.
@@ -237,8 +219,8 @@ int main() {
     spe::net::attach_tenant(probe, 777, rng());
     expect_denied(anon, std::move(probe), Status::AccessDenied, r, &forged_denied);
   }
-  std::printf("[forgery] probes=%u denied=%llu\n", probes + 1,
-              static_cast<unsigned long long>(forged_denied));
+  appendf(report, "[forgery] probes=%u denied=%llu\n", probes + 1,
+          static_cast<unsigned long long>(forged_denied));
 
   // --- scenario C: quota exhaustion (wear-out via brute-force writes) ------
   // The attacker floods fresh blocks in its own range; the quota bounds how
@@ -259,10 +241,10 @@ int main() {
       ++r.unexpected;
     }
   }
-  std::printf("[quota] writes=%u ok=%llu quota_denied=%llu\n",
-              static_cast<unsigned>(kAttackerQuota),
-              static_cast<unsigned long long>(quota_ok),
-              static_cast<unsigned long long>(r.quota_denied));
+  appendf(report, "[quota] writes=%u ok=%llu quota_denied=%llu\n",
+          static_cast<unsigned>(kAttackerQuota),
+          static_cast<unsigned long long>(quota_ok),
+          static_cast<unsigned long long>(r.quota_denied));
 
   // --- scenario D: admin-op escalation -------------------------------------
   // Scrub and cross-tenant rotation are denied; a tokenless rotation cannot
@@ -276,9 +258,9 @@ int main() {
     expect_denied(tokenless, spe::net::make_rotate_request(0, kVictim),
                   Status::BadRequest, r, &r.bad_request);
   }
-  std::printf("[escalation] denied=%llu bad_request=%llu\n",
-              static_cast<unsigned long long>(r.denied),
-              static_cast<unsigned long long>(r.bad_request));
+  appendf(report, "[escalation] denied=%llu bad_request=%llu\n",
+          static_cast<unsigned long long>(r.denied),
+          static_cast<unsigned long long>(r.bad_request));
 
   // --- scenario E: stolen-array trials (known/chosen plaintext, brute force)
   // Simulates Attack 1: the attacker lifts the victim's resting ciphertext
@@ -319,14 +301,14 @@ int main() {
     const auto kp = spe::core::known_plaintext_analysis(victim_cipher);
     const auto ins = spe::core::insertion_attack(victim_cipher, 64, seed);
     const auto bf = spe::core::brute_force_analysis();
-    std::printf("[stolen-array] key_trials=%u exact_hits=%llu "
-                "bit_match=%.4f (chance_level=%s)\n",
-                key_trials + 1, static_cast<unsigned long long>(r.brute_hits),
-                match_fraction, chance_level ? "yes" : "no");
-    std::printf("[stolen-array] residual_search_log10=%.1f "
-                "insertion_flip_rate=%.3f max_bias=%.3f keyspace_log10=%.1f\n",
-                kp.log10_residual_search, ins.mean_flip_rate, ins.max_bit_bias,
-                bf.log10_keyspace);
+    appendf(report, "[stolen-array] key_trials=%u exact_hits=%llu "
+            "bit_match=%.4f (chance_level=%s)\n",
+            key_trials + 1, static_cast<unsigned long long>(r.brute_hits),
+            match_fraction, chance_level ? "yes" : "no");
+    appendf(report, "[stolen-array] residual_search_log10=%.1f "
+            "insertion_flip_rate=%.3f max_bias=%.3f keyspace_log10=%.1f\n",
+            kp.log10_residual_search, ins.mean_flip_rate, ins.max_bit_bias,
+            bf.log10_keyspace);
   }
 
   // --- scenario F: cold-boot window ----------------------------------------
@@ -347,21 +329,22 @@ int main() {
                     Status::AccessDenied, r, &window_denied);
     const auto cold = spe::core::cold_boot_analysis(
         static_cast<std::uint64_t>(kVictimBlocks) * block_bytes);
-    std::printf("[cold-boot] window_probes=%u denied=%llu "
-                "spe_window_s=%.6f exposure_ratio=%.4f\n",
-                probes, static_cast<unsigned long long>(window_denied),
-                cold.spe_window_seconds, cold.exposure_ratio);
+    appendf(report, "[cold-boot] window_probes=%u denied=%llu "
+            "spe_window_s=%.6f exposure_ratio=%.4f\n",
+            probes, static_cast<unsigned long long>(window_denied),
+            cold.spe_window_seconds, cold.exposure_ratio);
   }
 
   // --- scenario G: online key rotation under live traffic ------------------
   {
-    if (!quiesce_encrypted(service)) {
-      std::printf("[rotation] FAIL: service never quiesced\n");
-      return 1;
-    }
+    // Every resident block re-encrypted first, so the rotation's scheduled
+    // count is a pure function of the working set.
+    if (!wait_until([&] { return service.encrypted_fraction() >= 1.0; }))
+      throw std::runtime_error("service never quiesced before the rotation");
     // Self-service rotation is allowed (the attacker rotates its own domain).
     const Client::RotationInfo own = attacker.rotate_key(kAttacker);
-    if (!wait_rotation_drained(service, kAttacker)) ++r.unexpected;
+    if (!wait_until([&] { return service.rotation_pending(kAttacker) == 0; }))
+      ++r.unexpected;
     // Victim rotation via the admin domain, with live victim traffic and
     // attacker probes landing inside the re-encryption window.
     const Client::RotationInfo rot = admin.rotate_key(kVictim);
@@ -385,42 +368,45 @@ int main() {
         expect_denied(attacker, spe::net::make_read_request(0, addr),
                       Status::AccessDenied, r, &mid_rotation_denied);
     }
-    if (!wait_rotation_drained(service, kVictim)) ++r.unexpected;
+    if (!wait_until([&] { return service.rotation_pending(kVictim) == 0; }))
+      ++r.unexpected;
     // Byte-verify the whole victim working set under the new key.
     for (const auto& [addr, generation] : victim_generation) {
       const std::vector<std::uint8_t> got = victim.read_block(addr);
       if (got != payload_for(addr, block_bytes, generation)) ++r.verify_mismatches;
     }
-    std::printf("[rotation] own_epoch=%llu victim_epoch=%llu scheduled=%llu "
-                "live_ops_ok=%llu failed=%llu window_denied=%llu verified=%zu\n",
-                static_cast<unsigned long long>(own.epoch),
-                static_cast<unsigned long long>(rot.epoch),
-                static_cast<unsigned long long>(rot.scheduled),
-                static_cast<unsigned long long>(r.victim_ok),
-                static_cast<unsigned long long>(r.victim_failed),
-                static_cast<unsigned long long>(mid_rotation_denied),
-                victim_generation.size());
+    appendf(report, "[rotation] own_epoch=%llu victim_epoch=%llu scheduled=%llu "
+            "live_ops_ok=%llu failed=%llu window_denied=%llu verified=%zu\n",
+            static_cast<unsigned long long>(own.epoch),
+            static_cast<unsigned long long>(rot.epoch),
+            static_cast<unsigned long long>(rot.scheduled),
+            static_cast<unsigned long long>(r.victim_ok),
+            static_cast<unsigned long long>(r.victim_failed),
+            static_cast<unsigned long long>(mid_rotation_denied),
+            victim_generation.size());
   }
 
   server.stop();
   service.stop();
 
-  const bool pass = r.unexpected == 0 && r.recovered_bits == 0 &&
-                    r.brute_hits == 0 && r.victim_failed == 0 &&
-                    r.verify_mismatches == 0 && r.quota_denied > 0 &&
-                    r.bad_request > 0;
-  std::printf("\nprobes=%llu denied=%llu quota_denied=%llu bad_request=%llu\n",
-              static_cast<unsigned long long>(r.probes),
-              static_cast<unsigned long long>(r.denied),
-              static_cast<unsigned long long>(r.quota_denied),
-              static_cast<unsigned long long>(r.bad_request));
-  std::printf("recovered_plaintext_bits=%llu brute_force_hits=%llu "
-              "victim_failed_ops=%llu verify_mismatches=%llu unexpected=%llu\n",
-              static_cast<unsigned long long>(r.recovered_bits),
-              static_cast<unsigned long long>(r.brute_hits),
-              static_cast<unsigned long long>(r.victim_failed),
-              static_cast<unsigned long long>(r.verify_mismatches),
-              static_cast<unsigned long long>(r.unexpected));
-  std::printf("CAMPAIGN %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  appendf(report, "\nprobes=%llu denied=%llu quota_denied=%llu bad_request=%llu\n",
+          static_cast<unsigned long long>(r.probes),
+          static_cast<unsigned long long>(r.denied),
+          static_cast<unsigned long long>(r.quota_denied),
+          static_cast<unsigned long long>(r.bad_request));
+  return spe::benchutil::CampaignResult{
+      report,
+      {{"recovered plaintext bits", r.recovered_bits},
+       {"brute-force hits", r.brute_hits},
+       {"victim failed ops", r.victim_failed},
+       {"verify mismatches", r.verify_mismatches},
+       {"unexpected answers", r.unexpected},
+       {"quota never enforced", r.quota_denied == 0 ? 1u : 0u},
+       {"tokenless admin op not rejected", r.bad_request == 0 ? 1u : 0u}}};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return spe::benchutil::run_campaign(argc, argv, 42, attack);
 }

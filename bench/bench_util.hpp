@@ -36,11 +36,13 @@ inline std::uint64_t env_or_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 0);
 }
 
+inline std::string banner_text(const std::string& title, const std::string& paper_ref) {
+  const std::string rule = "================================================================\n";
+  return "\n" + rule + title + "\nReproduces: " + paper_ref + "\n" + rule + "\n";
+}
+
 inline void banner(const std::string& title, const std::string& paper_ref) {
-  std::printf("\n================================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("================================================================\n\n");
+  std::fputs(banner_text(title, paper_ref).c_str(), stdout);
 }
 
 /// Minimal argv parser shared by the bench binaries. Supports boolean

@@ -6,7 +6,7 @@
 // a whole node is stopped, checkpointed, and rebooted — so the storm covers
 // both lossy links and crashing peers.
 //
-// Acceptance invariants (exit status is the check):
+// Invariants (checked by the campaign driver, campaign.hpp):
 //   * zero silent corruption — every successful read returns the last
 //     acknowledged payload (or, for a write whose outcome the client
 //     reported as ambiguous, one of {old, new}; the read reconciles it);
@@ -22,22 +22,23 @@
 // Determinism: the driver is single-threaded and synchronous (one op in
 // flight), the chaos schedule is a pure function of (seed, stream, event),
 // and pooled-client streams key off endpoint hashes + reconnect epochs —
-// so a fixed SPE_CHAOS_SEED replays the identical injection schedule and
-// the stdout report is byte-identical across runs. Timing diagnostics go
-// to stderr, never stdout.
+// so a fixed seed replays the identical injection schedule and the report
+// is byte-identical across runs (the driver replays each seed in-process).
+// Timing diagnostics go to stderr, never into the report.
 //
-// Overrides: SPE_CHAOS_SEED (schedule), SPE_CHAOS_OPS (storm length),
-//            SPE_CHAOS_BLOCKS (working set), SPE_CHAOS_KILLS (node
-//            restarts), SPE_CHAOS_DEADLINE_MS (per-op budget).
+// Flags: --seeds N | A..B (schedule; default 0xC4A05).
+// Overrides: SPE_CHAOS_OPS (storm length), SPE_CHAOS_BLOCKS (working set),
+//            SPE_CHAOS_KILLS (node restarts), SPE_CHAOS_DEADLINE_MS
+//            (per-op budget).
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "bench_util.hpp"
+#include "campaign.hpp"
 #include "cluster/cluster_client.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/topology.hpp"
@@ -61,6 +62,7 @@ using spe::cluster::ClusterClient;
 using spe::cluster::ClusterClientConfig;
 using spe::cluster::ClusterTopology;
 using spe::cluster::NodeInfo;
+using spe::benchutil::payload_for;
 
 spe::runtime::ServiceConfig small_service_config() {
   spe::runtime::ServiceConfig cfg;
@@ -92,40 +94,26 @@ std::uint16_t reserve_port() {
   return port;
 }
 
-std::vector<std::uint8_t> payload_for(std::uint64_t addr, unsigned block_bytes,
-                                      unsigned generation) {
-  std::vector<std::uint8_t> data(block_bytes);
-  for (unsigned i = 0; i < block_bytes; ++i)
-    data[i] = static_cast<std::uint8_t>(addr * 13 + i * 7 + generation * 101);
-  return data;
-}
-
 /// One cluster node, restartable in place. A kill stops the server (which
 /// drains in-flight work with typed errors), checkpoints the quiescent
-/// service, tears everything down, and boots from the checkpoint — the
-/// client sees connection resets and rejoins via failover.
+/// service in memory, tears everything down, and boots from the checkpoint
+/// — the client sees connection resets and rejoins via failover.
 struct Node {
   Node(std::string name_, std::uint16_t port_, ClusterTopology topo)
       : name(std::move(name_)), port(port_), topology(std::move(topo)) {
     config.node_name = name;
-    const char* tmp = std::getenv("TMPDIR");
-    checkpoint = std::string(tmp && *tmp ? tmp : "/tmp") + "/spe_chaos_" + name +
-                 "_" + std::to_string(::getpid()) + ".ckpt";
-    std::remove(checkpoint.c_str());
     boot();
   }
 
-  ~Node() {
-    shutdown();
-    std::remove(checkpoint.c_str());
-  }
+  ~Node() { shutdown(); }
 
   void boot() {
-    if (have_checkpoint)
-      service = std::make_unique<spe::runtime::MemoryService>(small_service_config(),
-                                                              checkpoint);
-    else
+    if (checkpoint.empty()) {
       service = std::make_unique<spe::runtime::MemoryService>(small_service_config());
+    } else {
+      std::istringstream in(checkpoint);
+      service = std::make_unique<spe::runtime::MemoryService>(small_service_config(), in);
+    }
     coordinator.emplace(*service, topology, config);
     (void)coordinator->recover();
     spe::net::ServerConfig server_cfg;
@@ -136,7 +124,7 @@ struct Node {
     server = std::make_unique<spe::net::Server>(*service, server_cfg);
     server->set_cluster_handler(&*coordinator);
     if (server->start() != port)
-      throw std::runtime_error("chaos_campaign: node " + name + " failed to bind");
+      throw spe::benchutil::CampaignSetupError("node " + name + " failed to bind");
   }
 
   /// Graceful-drain stop; returns the server's post-drain in-flight count
@@ -150,8 +138,9 @@ struct Node {
     server.reset();
     coordinator.reset();
     if (service) {
-      service->checkpoint_file(checkpoint);
-      have_checkpoint = true;
+      std::ostringstream out;
+      service->checkpoint(out);
+      checkpoint = std::move(out).str();
       service->stop();
     }
     service.reset();
@@ -169,15 +158,14 @@ struct Node {
   std::string name;
   std::uint16_t port;
   ClusterTopology topology;
-  std::string checkpoint;
-  bool have_checkpoint = false;
+  std::string checkpoint;  ///< the last shutdown's image; empty before the first
   spe::cluster::CoordinatorConfig config;
   std::unique_ptr<spe::runtime::MemoryService> service;
   std::optional<spe::cluster::ClusterCoordinator> coordinator;
   std::unique_ptr<spe::net::Server> server;
 };
 
-struct CampaignResult {
+struct StormResult {
   std::uint64_t ops = 0;
   std::uint64_t ok = 0;
   std::uint64_t typed_errors = 0;
@@ -190,26 +178,20 @@ struct CampaignResult {
   std::uint64_t verify_mismatches = 0;
 };
 
-}  // namespace
-
-int main() {
-  const std::uint64_t seed = spe::benchutil::env_or_u64("SPE_CHAOS_SEED", 0xC4A05u);
+spe::benchutil::CampaignResult storm(std::uint64_t seed) {
   const unsigned ops = std::max(1u, spe::benchutil::env_or("SPE_CHAOS_OPS", 300));
   const unsigned blocks = std::max(4u, spe::benchutil::env_or("SPE_CHAOS_BLOCKS", 24));
   const unsigned kills = spe::benchutil::env_or("SPE_CHAOS_KILLS", 2);
   const std::uint64_t deadline_ms =
       std::max<std::uint64_t>(100, spe::benchutil::env_or("SPE_CHAOS_DEADLINE_MS", 2'000));
-
-  spe::benchutil::banner(
+  std::string report = spe::benchutil::banner_text(
       "Network chaos campaign (seed " + std::to_string(seed) + ", " +
           std::to_string(ops) + " ops, " + std::to_string(kills) + " kills)",
       "failure-resilience acceptance sweep (not a paper figure)");
 
   const std::uint16_t pa = reserve_port(), pb = reserve_port(), pc = reserve_port();
-  if (pa == 0 || pb == 0 || pc == 0) {
-    std::fprintf(stderr, "chaos_campaign: could not reserve loopback ports\n");
-    return 2;
-  }
+  if (pa == 0 || pb == 0 || pc == 0)
+    throw spe::benchutil::CampaignSetupError("could not reserve loopback ports");
   ClusterTopology topo{1,
                        {{"a", "127.0.0.1", pa, 1},
                         {"b", "127.0.0.1", pb, 1},
@@ -262,7 +244,7 @@ int main() {
   }
   std::vector<unsigned> acked(blocks, 0);
   std::vector<std::optional<unsigned>> maybe(blocks);  // ambiguous new generation
-  CampaignResult result;
+  StormResult result;
 
   // Kill schedule: evenly spaced op indices, node picked by the seed.
   std::map<unsigned, unsigned> kill_at;
@@ -374,21 +356,11 @@ int main() {
   // Drain every node and probe for stuck futures.
   for (Node* node : nodes) result.stuck_futures += node->shutdown();
 
-  // Deterministic report (stdout): schedule-derived fields only. Retry /
-  // breaker / chaos diagnostics are timing-coloured, so they go to stderr.
-  std::printf("seed:                %llu\n", static_cast<unsigned long long>(seed));
-  std::printf("ops:                 %llu\n", static_cast<unsigned long long>(result.ops));
-  std::printf("node kills:          %llu\n", static_cast<unsigned long long>(result.kills));
-  std::printf("silent corruptions:  %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(result.silent));
-  std::printf("untyped errors:      %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(result.untyped));
-  std::printf("deadline violations: %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(result.deadline_violations));
-  std::printf("stuck futures:       %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(result.stuck_futures));
-  std::printf("verify mismatches:   %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(result.verify_mismatches));
+  // Deterministic report: schedule-derived fields only. Retry / breaker /
+  // chaos diagnostics are timing-coloured, so they go to stderr.
+  report += "seed:                " + std::to_string(seed) + "\n";
+  report += "ops:                 " + std::to_string(result.ops) + "\n";
+  report += "node kills:          " + std::to_string(result.kills) + "\n";
 
   const auto stats = client.stats();
   std::fprintf(stderr,
@@ -409,12 +381,16 @@ int main() {
                static_cast<unsigned long long>(stats.deadline_exceeded),
                chaos->stats().to_string().c_str());
 
-  const bool failed = result.silent > 0 || result.untyped > 0 ||
-                      result.deadline_violations > 0 || result.stuck_futures > 0 ||
-                      result.verify_mismatches > 0;
-  if (failed) {
-    std::fprintf(stderr, "chaos_campaign: FAIL — a resilience invariant broke\n");
-    return 1;
-  }
-  return 0;
+  return spe::benchutil::CampaignResult{report,
+                                        {{"silent corruptions", result.silent},
+                                         {"untyped errors", result.untyped},
+                                         {"deadline violations", result.deadline_violations},
+                                         {"stuck futures", result.stuck_futures},
+                                         {"verify mismatches", result.verify_mismatches}}};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return spe::benchutil::run_campaign(argc, argv, 0xC4A05, storm);
 }

@@ -1,10 +1,10 @@
 // Kill-point crash campaign for the crash-consistency machinery (intent
 // journal + checkpoint/restore + journal recovery). A scripted workload
-// runs on a live MemoryService; the crash hook captures the target shard's
-// durable state after EVERY intent-journal transition — exactly what a
-// power loss at that instant would leave in the non-volatile array. The
-// campaign then restores a fresh service from each snapshot (combined with
-// the other shards' pre-op quiescent state) and audits every block:
+// runs on a live MemoryService; MemoryService::capture_kill_points images
+// the durable state after EVERY intent-journal transition of the target
+// shard — exactly what a power loss at that instant would leave in the
+// non-volatile array. The campaign then restores a fresh service from each
+// image and audits every block:
 //
 //   * a block not touched by the interrupted op must read back bit-exactly
 //     as its last acknowledged payload — anything else is SILENT CORRUPTION;
@@ -14,27 +14,25 @@
 //     silent.
 //
 // Determinism: no background threads, blocking ops in script order, no
-// timing in the report — identical seeds produce byte-identical reports.
-// Exit status is the acceptance check: nonzero on any silent corruption or
-// any data loss outside the single in-flight block.
+// timing in the report — the campaign driver (campaign.hpp) replays each
+// seed in-process and requires identical reports. Invariants: no silent
+// corruption, no data loss outside the single in-flight block.
 //
+// Flags: --seeds N | A..B (device/key seed variation; default 0).
 // Overrides: SPE_CRASH_BLOCKS (working set), SPE_CRASH_STRIDE (restore
-//            every Nth kill point; CI smoke uses a large stride),
-//            SPE_CRASH_SEED (device/key seed variation).
+//            every Nth kill point; CI smoke uses a large stride).
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "campaign.hpp"
 #include "runtime/memory_service.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using spe::runtime::MemoryService;
-using spe::runtime::RecoveryReport;
 using spe::runtime::ServiceConfig;
 using spe::runtime::TornBlockError;
 
@@ -44,7 +42,7 @@ struct ScriptOp {
   unsigned version;  // writes only
 };
 
-struct CampaignResult {
+struct WorkloadResult {
   std::uint64_t ops = 0;
   std::uint64_t kill_points = 0;
   std::uint64_t restores = 0;
@@ -64,7 +62,7 @@ std::vector<std::uint8_t> payload(std::uint64_t addr, unsigned version,
   return data;
 }
 
-CampaignResult run_campaign(spe::core::SpeMode mode, unsigned blocks,
+WorkloadResult run_workload(spe::core::SpeMode mode, unsigned blocks,
                             unsigned stride, std::uint64_t seed) {
   ServiceConfig cfg;
   cfg.shards = 4;
@@ -92,41 +90,25 @@ CampaignResult run_campaign(spe::core::SpeMode mode, unsigned blocks,
       {true, 3 % blocks, 3},  {false, 7 % blocks, 0}, {true, 11 % blocks, 4},
   };
 
-  CampaignResult result;
+  WorkloadResult result;
   for (const ScriptOp& op : script) {
     ++result.ops;
-    // Quiescent durable state of every shard as of just before this op.
-    std::vector<std::string> quiescent(service.shard_count());
-    for (unsigned s = 0; s < service.shard_count(); ++s) {
-      std::ostringstream out;
-      service.shard(s).save_state(out);
-      quiescent[s] = out.str();
-    }
-
-    const unsigned target = service.shard_of(op.addr);
-    std::vector<std::string> snapshots;
-    service.shard(target).set_crash_hook(
-        [&snapshots](unsigned, const std::string& blob) {
-          snapshots.push_back(blob);
+    const std::vector<std::string> images =
+        service.capture_kill_points(service.shard_of(op.addr), [&] {
+          if (op.is_write)
+            service.write(op.addr, payload(op.addr, op.version, block_bytes));
+          else
+            (void)service.read(op.addr);
         });
-    if (op.is_write)
-      service.write(op.addr, payload(op.addr, op.version, block_bytes));
-    else
-      (void)service.read(op.addr);
-    service.shard(target).set_crash_hook(nullptr);
-    result.kill_points += snapshots.size();
+    result.kill_points += images.size();
 
     const auto old_payload = payload(op.addr, acked[op.addr], block_bytes);
     const auto new_payload =
         op.is_write ? payload(op.addr, op.version, block_bytes) : old_payload;
 
-    for (std::size_t k = 0; k < snapshots.size(); k += stride) {
+    for (std::size_t k = 0; k < images.size(); k += stride) {
       ++result.restores;
-      std::vector<std::string> blobs = quiescent;
-      blobs[target] = snapshots[k];
-      std::ostringstream ck;
-      MemoryService::write_checkpoint(ck, blobs);
-      std::istringstream in(ck.str());
+      std::istringstream in(images[k]);
       MemoryService restored(cfg, in);
 
       const auto totals = restored.recovery_report().totals();
@@ -157,17 +139,12 @@ CampaignResult run_campaign(spe::core::SpeMode mode, unsigned blocks,
   return result;
 }
 
-}  // namespace
-
-int main() {
+spe::benchutil::CampaignResult sweep(std::uint64_t seed) {
   const unsigned blocks = std::max(4u, spe::benchutil::env_or("SPE_CRASH_BLOCKS", 16));
   const unsigned stride = std::max(1u, spe::benchutil::env_or("SPE_CRASH_STRIDE", 1));
-  const std::uint64_t seed = spe::benchutil::env_or("SPE_CRASH_SEED", 0);
-
-  spe::benchutil::banner(
-      "Kill-point crash campaign (" + std::to_string(blocks) +
-          " blocks, stride " + std::to_string(stride) + ", seed " +
-          std::to_string(seed) + ")",
+  std::string report = spe::benchutil::banner_text(
+      "Kill-point crash campaign (" + std::to_string(blocks) + " blocks, stride " +
+          std::to_string(stride) + ", seed " + std::to_string(seed) + ")",
       "crash-consistency acceptance sweep (not a paper figure)");
 
   spe::util::Table table({"workload", "ops", "kill_pts", "restores", "replayed",
@@ -182,7 +159,7 @@ int main() {
       {"parallel", spe::core::SpeMode::Parallel},
   };
   for (const auto& w : workloads) {
-    const CampaignResult r = run_campaign(w.mode, blocks, stride, seed);
+    const WorkloadResult r = run_workload(w.mode, blocks, stride, seed);
     silent_total += r.silent;
     stray_total += r.stray_loss;
     table.add_row({w.label, std::to_string(r.ops), std::to_string(r.kill_points),
@@ -191,21 +168,21 @@ int main() {
                    std::to_string(r.clean_restores), std::to_string(r.silent),
                    std::to_string(r.stray_loss)});
   }
-  table.print();
+  report += table.render();
 
-  std::printf(
+  report +=
       "\nEvery restore is a simulated power loss at one journal transition.\n"
       "silent = a block that read back as data nobody acknowledged writing;\n"
       "stray = data loss outside the single in-flight block. replayed/\n"
       "rolledbk/torn count the recovery classifications across all restores\n"
-      "(clean = the kill point landed outside any open intent).\n");
-  std::printf("\nsilent corruption events: %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(silent_total));
-  std::printf("stray data-loss events:   %llu (acceptance: 0)\n",
-              static_cast<unsigned long long>(stray_total));
-  if (silent_total > 0 || stray_total > 0) {
-    std::fprintf(stderr, "crash_campaign: FAIL — recovery lost or corrupted data\n");
-    return 1;
-  }
-  return 0;
+      "(clean = the kill point landed outside any open intent).\n";
+  return spe::benchutil::CampaignResult{report,
+                                        {{"silent corruption events", silent_total},
+                                         {"stray data-loss events", stray_total}}};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return spe::benchutil::run_campaign(argc, argv, 0, sweep);
 }

@@ -8,9 +8,9 @@
 // Every source of nondeterminism is pinned: the background scavenger/scrub
 // thread is off (scrubbing runs synchronously via scrub_all()), retry
 // backoff is zeroed, ops are issued blocking in address order, and no
-// timing data is printed — two runs with the same seed produce
-// byte-identical reports. Exit status is the acceptance check: nonzero if
-// the ECC+scrub stack ever returned silently corrupted data.
+// timing data is printed — the campaign driver (campaign.hpp) replays each
+// seed in-process and requires identical reports. The one invariant: the
+// ECC+scrub stack never returns silently corrupted data.
 //
 // Each point also runs two deterministic crash probes (an interrupted
 // rewrite and an interrupted decrypting read, restored from kill-point
@@ -18,11 +18,11 @@
 // replayed forward, rolled back and torn-quarantined — alongside the
 // resilience counters.
 //
+// Flags: --seeds N | A..B (FaultPlan seed; default 0xFA117).
 // Overrides: SPE_FAULT_BLOCKS (working set per point), SPE_FAULT_SCRUBS
 //            (synchronous scrub passes between write and read),
-//            SPE_FAULT_SEED (FaultPlan seed), SPE_METRICS_OUT (when set,
-//            the last point's metrics export is written there — stdout
-//            stays byte-identical either way).
+//            SPE_METRICS_OUT (when set, the last point's metrics export is
+//            written there — stdout stays byte-identical either way).
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "campaign.hpp"
 #include "runtime/memory_service.hpp"
 #include "util/table.hpp"
 
@@ -51,8 +51,6 @@ struct FaultPoint {
 };
 
 struct Outcome {
-  unsigned writes_ok = 0;
-  unsigned writes_failed = 0;
   unsigned reads_ok = 0;       ///< returned data that matched what was written
   unsigned reads_silent = 0;   ///< returned data that did NOT match (uncorrected!)
   unsigned reads_failed = 0;   ///< threw Uncorrectable/Quarantined (unavailable)
@@ -98,9 +96,7 @@ Outcome run_point(const FaultPoint& point, bool ecc, unsigned blocks,
   for (std::uint64_t b = 0; b < blocks; ++b) {
     try {
       service.write(b, payload_for(b, block_bytes));
-      ++out.writes_ok;
     } catch (const std::exception&) {
-      ++out.writes_failed;
     }
   }
   // Retention period: each pass ages every resident block one tick (drift
@@ -122,33 +118,21 @@ Outcome run_point(const FaultPoint& point, bool ecc, unsigned blocks,
   service.fill_metrics(*out.stats);
 
   // Crash probes: interrupt one rewrite mid-flight and one decrypting read
-  // mid-flight, restore a fresh service from each kill-point snapshot (plus
-  // the other shards' quiescent state), and fold the journal-recovery
-  // classification into the report. Snapshot capture and restore are both
-  // deterministic, so these columns replay byte-identically per seed.
-  std::vector<std::string> quiescent(service.shard_count());
-  for (unsigned s = 0; s < service.shard_count(); ++s) {
-    std::ostringstream o;
-    service.shard(s).save_state(o);
-    quiescent[s] = o.str();
-  }
+  // mid-flight, restore a fresh service from a kill-point image of each,
+  // and fold the journal-recovery classification into the report. Capture
+  // and restore are both deterministic, so these columns replay
+  // byte-identically per seed.
   const std::uint64_t probe_addr = 0;
   const unsigned target = service.shard_of(probe_addr);
   const auto probe = [&](auto&& op) {
-    std::vector<std::string> snaps;
-    service.shard(target).set_crash_hook(
-        [&snaps](unsigned, const std::string& blob) { snaps.push_back(blob); });
-    try {
-      op();
-    } catch (const std::exception&) {
-    }
-    service.shard(target).set_crash_hook(nullptr);
-    if (snaps.empty()) return;  // the op faulted before touching the journal
-    std::vector<std::string> blobs = quiescent;
-    blobs[target] = snaps[snaps.size() - snaps.size() / 4 - 1];  // late mid-op
-    std::ostringstream ck;
-    MemoryService::write_checkpoint(ck, blobs);
-    std::istringstream in(ck.str());
+    const std::vector<std::string> images = service.capture_kill_points(target, [&] {
+      try {
+        op();
+      } catch (const std::exception&) {
+      }
+    });
+    if (images.empty()) return;  // the op faulted before touching the journal
+    std::istringstream in(images[images.size() - images.size() / 4 - 1]);  // late mid-op
     MemoryService restored(cfg, in);
     const auto totals = restored.recovery_report().totals();
     out.replayed += totals.replayed_forward;
@@ -169,14 +153,10 @@ std::string pct(double num, double den) {
   return den == 0.0 ? "-" : spe::util::Table::fmt(100.0 * num / den, 2);
 }
 
-}  // namespace
-
-int main() {
+spe::benchutil::CampaignResult sweep(std::uint64_t seed) {
   const unsigned blocks = std::max(1u, spe::benchutil::env_or("SPE_FAULT_BLOCKS", 96));
   const unsigned scrubs = spe::benchutil::env_or("SPE_FAULT_SCRUBS", 4);
-  const std::uint64_t seed = spe::benchutil::env_or("SPE_FAULT_SEED", 0xFA117);
-
-  spe::benchutil::banner(
+  std::string report = spe::benchutil::banner_text(
       "Fault-injection reliability campaign (" + std::to_string(blocks) +
           " blocks/point, " + std::to_string(scrubs) + " scrub passes, seed " +
           std::to_string(seed) + ")",
@@ -198,7 +178,7 @@ int main() {
   spe::util::Table table({"point", "ecc", "avail%", "silent", "detected",
                           "corrected", "uncorr", "quar", "remap", "retries",
                           "scrubbed", "injected", "replay", "rollbk", "torn"});
-  unsigned ecc_silent_total = 0;
+  std::uint64_t ecc_silent_total = 0;
   unsigned noecc_corrupt_total = 0;
   std::string last_metrics;
   for (const FaultPoint& p : points) {
@@ -232,20 +212,18 @@ int main() {
                      std::to_string(o.torn)});
     }
   }
-  table.print();
+  report += table.render();
 
-  std::printf(
+  report +=
       "\nsilent = reads that returned WRONG data without any error (the\n"
-      "failure mode the SEC-DED plane code must eliminate); avail%% counts\n"
+      "failure mode the SEC-DED plane code must eliminate); avail% counts\n"
       "reads that returned data at all (quarantined blocks are unavailable,\n"
       "not corrupt). Identical seeds replay identical fault patterns, so the\n"
-      "ecc=on and ecc=off rows of each point face the same physical faults.\n");
-  std::printf("\nECC+scrub silent corruption events: %u (acceptance: 0)\n",
-              ecc_silent_total);
-  std::printf("ECC-off silent corruption events:   %u (expected: > 0)\n",
-              noecc_corrupt_total);
-  // File-only (and a stderr note): the campaign's stdout is diffed for
-  // byte-identical replay, and metrics include timing histograms.
+      "ecc=on and ecc=off rows of each point face the same physical faults.\n";
+  spe::benchutil::appendf(report, "\nECC-off silent corruption events:   %u (expected: > 0)\n",
+                          noecc_corrupt_total);
+  // File-only (and a stderr note): the campaign's stdout is replay-checked,
+  // and metrics include timing histograms.
   if (const char* path = std::getenv("SPE_METRICS_OUT"); path && *path) {
     std::ofstream metrics_out(path, std::ios::trunc);
     if (metrics_out) {
@@ -255,9 +233,12 @@ int main() {
       std::fprintf(stderr, "fault_campaign: cannot write %s\n", path);
     }
   }
-  if (ecc_silent_total > 0) {
-    std::fprintf(stderr, "fault_campaign: FAIL — ECC stack returned corrupt data\n");
-    return 1;
-  }
-  return 0;
+  return spe::benchutil::CampaignResult{
+      report, {{"ECC+scrub silent corruption events", ecc_silent_total}}};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return spe::benchutil::run_campaign(argc, argv, 0xFA117, sweep);
 }

@@ -51,18 +51,12 @@
 #include "cluster/cluster_client.hpp"
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using spe::obs::Histogram;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// The deterministic block image for (seed, address, write-version). The
 /// reader recomputes this from its bookkeeping and compares.
@@ -72,7 +66,7 @@ std::vector<std::uint8_t> expected_payload(std::uint64_t seed, std::uint64_t add
   std::uint64_t word = 0;
   for (unsigned i = 0; i < block_bytes; ++i) {
     if (i % 8 == 0)
-      word = splitmix64(seed ^ (addr << 20) ^ (version << 1) ^ (i / 8));
+      word = spe::util::mix64(seed ^ (addr << 20) ^ (version << 1) ^ (i / 8));
     data[i] = static_cast<std::uint8_t>(word >> ((i % 8) * 8));
   }
   return data;
@@ -134,7 +128,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
 
     std::unordered_map<std::uint64_t, Inflight> outstanding;  // request id -> op
     std::unordered_set<std::uint64_t> busy_addrs;
-    std::uint64_t rng = splitmix64(cfg.seed ^ (0xC0FFEEULL + cfg.index));
+    std::uint64_t rng = spe::util::mix64(cfg.seed ^ (0xC0FFEEULL + cfg.index));
     std::uint64_t cursor = 0;
     std::uint64_t sent_ops = 0;
     auto next_send = Clock::now();
@@ -189,7 +183,7 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
           }
         }
         if (found) {
-          rng = splitmix64(rng);
+          rng = spe::util::mix64(rng);
           const bool is_write = rng % 100 < cfg.write_pct;
           Inflight op;
           op.is_write = is_write;
@@ -266,14 +260,14 @@ WorkerStats run_cluster_worker(const WorkerConfig& cfg) {
         client.write_block(addr, expected_payload(cfg.seed, addr, 1, block_bytes));
         committed[addr] = 1;
       }
-      std::uint64_t rng = splitmix64(cfg.seed ^ (0xC0FFEEULL + cfg.index));
+      std::uint64_t rng = spe::util::mix64(cfg.seed ^ (0xC0FFEEULL + cfg.index));
       std::uint64_t done = 0;
       const bool quota_bound = cfg.ops_quota > 0;
       while ((!quota_bound || done < cfg.ops_quota) &&
              Clock::now() < cfg.deadline) {
-        rng = splitmix64(rng);
+        rng = spe::util::mix64(rng);
         const std::uint64_t addr = base + rng % cfg.stripe;
-        const bool is_write = splitmix64(rng) % 100 < cfg.write_pct;
+        const bool is_write = spe::util::mix64(rng) % 100 < cfg.write_pct;
         const auto sent = Clock::now();
         if (is_write) {
           const std::uint64_t version = committed[addr] + 1;

@@ -150,6 +150,18 @@ std::uint64_t read_u64(std::istream& in, const char* what) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
   return v;
 }
+
+/// The checkpoint stream: magic, shard count, then each shard's
+/// BankShard::save_state blob behind its length.
+void write_checkpoint(std::ostream& out, std::span<const std::string> shard_blobs) {
+  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
+  write_u64(out, shard_blobs.size());
+  for (const std::string& blob : shard_blobs) {
+    write_u64(out, blob.size());
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+  if (!out) throw std::runtime_error("service checkpoint: write failure");
+}
 }  // namespace
 
 MemoryService::MemoryService(ServiceConfig config) : config_(normalized(config)) {
@@ -468,7 +480,7 @@ void MemoryService::stop() {
   stop_cv_.notify_all();
 }
 
-void MemoryService::checkpoint(std::ostream& out) const {
+std::vector<std::string> MemoryService::shard_blobs() const {
   std::vector<std::string> blobs;
   blobs.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -476,7 +488,11 @@ void MemoryService::checkpoint(std::ostream& out) const {
     shard->save_state(blob);
     blobs.push_back(std::move(blob).str());
   }
-  write_checkpoint(out, blobs);
+  return blobs;
+}
+
+void MemoryService::checkpoint(std::ostream& out) const {
+  write_checkpoint(out, shard_blobs());
 }
 
 void MemoryService::checkpoint_file(const std::string& path) const {
@@ -485,15 +501,33 @@ void MemoryService::checkpoint_file(const std::string& path) const {
   checkpoint(out);
 }
 
-void MemoryService::write_checkpoint(std::ostream& out,
-                                     std::span<const std::string> shard_blobs) {
-  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  write_u64(out, shard_blobs.size());
-  for (const std::string& blob : shard_blobs) {
-    write_u64(out, blob.size());
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+std::vector<std::string> MemoryService::capture_kill_points(
+    unsigned shard_id, const std::function<void()>& op) {
+  std::vector<std::string> blobs = shard_blobs();
+  BankShard& target = *shards_.at(shard_id);
+  std::vector<std::string> kill_points;
+  // The hook runs on the worker thread under the shard's state lock; the
+  // disarming set_crash_hook takes that lock, which orders every append
+  // before the reads below.
+  target.set_crash_hook(
+      [&kill_points](unsigned, const std::string& blob) { kill_points.push_back(blob); });
+  try {
+    op();
+  } catch (...) {
+    target.set_crash_hook(nullptr);
+    throw;
   }
-  if (!out) throw std::runtime_error("service checkpoint: write failure");
+  target.set_crash_hook(nullptr);
+
+  std::vector<std::string> images;
+  images.reserve(kill_points.size());
+  for (std::string& blob : kill_points) {
+    blobs[shard_id] = std::move(blob);
+    std::ostringstream image;
+    write_checkpoint(image, blobs);
+    images.push_back(std::move(image).str());
+  }
+  return images;
 }
 
 std::vector<std::uint64_t> MemoryService::resident_blocks() const {

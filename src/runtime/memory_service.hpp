@@ -17,6 +17,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -116,12 +117,16 @@ public:
   void checkpoint(std::ostream& out) const;
   void checkpoint_file(const std::string& path) const;
 
-  /// Assembles a checkpoint stream from pre-serialised per-shard blobs
-  /// (each one BankShard::save_state output). The crash campaign uses this
-  /// to combine one shard's mid-operation kill-point blob with the other
-  /// shards' last-quiescent blobs.
-  static void write_checkpoint(std::ostream& out,
-                               std::span<const std::string> shard_blobs);
+  /// Kill-point capture: runs `op` with the crash hook armed on shard
+  /// `shard_id` and returns one checkpoint image per intent-journal
+  /// transition that shard made, in order. Each image is that shard's
+  /// durable state at the transition plus every other shard's state from
+  /// just before `op` — what a power loss at that instant would leave.
+  /// Restore one with the istream constructor. `op` must finish its work
+  /// before returning, and nothing else may touch the shard meanwhile; an
+  /// exception from `op` propagates after the hook is disarmed.
+  [[nodiscard]] std::vector<std::string> capture_kill_points(
+      unsigned shard_id, const std::function<void()>& op);
 
   /// Outcome of the journal recovery a restore constructor ran; empty
   /// shards vector for a service that was built fresh.
@@ -197,6 +202,8 @@ private:
   /// worker/scavenger thread startup.
   void provision_and_power();
   void start_threads();
+  /// Every shard's BankShard::save_state blob, in shard order.
+  [[nodiscard]] std::vector<std::string> shard_blobs() const;
   /// Restore-constructor body: parse the checkpoint, rebuild + power the
   /// shards, run journal recovery, start the threads.
   void init_from_checkpoint(std::istream& checkpoint);

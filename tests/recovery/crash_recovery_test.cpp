@@ -1,9 +1,9 @@
-// Kill-point crash recovery: the crash hook captures the target shard's
-// durable state after every intent-journal transition (exactly what a power
-// loss at that instant would leave in the array); each test assembles a
-// checkpoint from one such mid-operation blob plus the other shards'
-// quiescent blobs, restores a fresh MemoryService from it, and asserts the
-// journal recovery classifies and repairs the torn operation correctly.
+// Kill-point crash recovery: MemoryService::capture_kill_points returns one
+// checkpoint image per intent-journal transition of the target shard
+// (exactly what a power loss at that instant would leave in the array, with
+// the other shards at their pre-op state); each test restores a fresh
+// MemoryService from one such image and asserts the journal recovery
+// classifies and repairs the torn operation correctly.
 
 #include <gtest/gtest.h>
 
@@ -47,37 +47,6 @@ void fill_initial(MemoryService& service) {
     service.write(addr, tagged_block(addr, 0, service.block_bytes()));
 }
 
-std::vector<std::string> quiescent_blobs(MemoryService& service) {
-  std::vector<std::string> blobs(service.shard_count());
-  for (unsigned s = 0; s < service.shard_count(); ++s) {
-    std::ostringstream out;
-    service.shard(s).save_state(out);
-    blobs[s] = out.str();
-  }
-  return blobs;
-}
-
-/// Arms the crash hook on `target`, runs `op`, disarms, and returns the
-/// captured per-kill-point blobs in journal-transition order.
-template <typename Op>
-std::vector<std::string> capture_kill_points(MemoryService& service,
-                                             unsigned target, Op&& op) {
-  std::vector<std::string> snapshots;
-  service.shard(target).set_crash_hook(
-      [&snapshots](unsigned, const std::string& blob) {
-        snapshots.push_back(blob);
-      });
-  op();
-  service.shard(target).set_crash_hook(nullptr);
-  return snapshots;
-}
-
-std::string checkpoint_from(const std::vector<std::string>& blobs) {
-  std::ostringstream out;
-  MemoryService::write_checkpoint(out, blobs);
-  return out.str();
-}
-
 // A write is Program begin + one advance per unit, then Encrypt begin + one
 // advance per pulse, then commit. A snapshot taken inside the encrypt tail
 // must replay forward: the plaintext was fully programmed, so resuming the
@@ -86,19 +55,16 @@ TEST(CrashRecovery, MidEncryptSnapshotReplaysForward) {
   ServiceConfig cfg = crash_config(core::SpeMode::Parallel);
   MemoryService service(cfg);
   fill_initial(service);
-  const auto quiescent = quiescent_blobs(service);
   const unsigned target = service.shard_of(kAddr);
   const auto v1 = tagged_block(kAddr, 1, service.block_bytes());
 
-  const auto snapshots = capture_kill_points(
-      service, target, [&] { service.write(kAddr, v1); });
+  const auto snapshots = service.capture_kill_points(
+      target, [&] { service.write(kAddr, v1); });
   // Program phase + encrypt phase + commit; well over 10 kill points.
   ASSERT_GT(snapshots.size(), 10u);
   const std::size_t mid_encrypt = snapshots.size() - 10;  // inside the pulse tail
 
-  std::vector<std::string> blobs = quiescent;
-  blobs[target] = snapshots[mid_encrypt];
-  std::istringstream in(checkpoint_from(blobs));
+  std::istringstream in(snapshots[mid_encrypt]);
   MemoryService restored(cfg, in);
 
   const ShardRecovery totals = restored.recovery_report().totals();
@@ -125,17 +91,14 @@ TEST(CrashRecovery, MidProgramSnapshotIsTornAndRewriteLifts) {
   ServiceConfig cfg = crash_config(core::SpeMode::Parallel);
   MemoryService service(cfg);
   fill_initial(service);
-  const auto quiescent = quiescent_blobs(service);
   const unsigned target = service.shard_of(kAddr);
 
-  const auto snapshots = capture_kill_points(service, target, [&] {
+  const auto snapshots = service.capture_kill_points(target, [&] {
     service.write(kAddr, tagged_block(kAddr, 1, service.block_bytes()));
   });
   ASSERT_GT(snapshots.size(), 4u);
 
-  std::vector<std::string> blobs = quiescent;
-  blobs[target] = snapshots[2];  // after the second unit's program pulse
-  std::istringstream in(checkpoint_from(blobs));
+  std::istringstream in(snapshots[2]);  // after the second unit's program pulse
   MemoryService restored(cfg, in);
 
   const ShardRecovery totals = restored.recovery_report().totals();
@@ -164,17 +127,14 @@ TEST(CrashRecovery, MidDecryptSnapshotRollsBack) {
   ServiceConfig cfg = crash_config(core::SpeMode::Serial);
   MemoryService service(cfg);
   fill_initial(service);
-  const auto quiescent = quiescent_blobs(service);
   const unsigned target = service.shard_of(kAddr);
 
-  const auto snapshots = capture_kill_points(
-      service, target, [&] { (void)service.read(kAddr); });
+  const auto snapshots = service.capture_kill_points(
+      target, [&] { (void)service.read(kAddr); });
   // Decrypt begin + one advance per pulse + commit.
   ASSERT_GT(snapshots.size(), 4u);
 
-  std::vector<std::string> blobs = quiescent;
-  blobs[target] = snapshots[snapshots.size() / 2];  // mid-decrypt
-  std::istringstream in(checkpoint_from(blobs));
+  std::istringstream in(snapshots[snapshots.size() / 2]);  // mid-decrypt
   MemoryService restored(cfg, in);
 
   const ShardRecovery totals = restored.recovery_report().totals();
@@ -229,19 +189,16 @@ TEST(CrashRecovery, EpochMismatchQuarantinesInsteadOfReplaying) {
   ServiceConfig cfg = crash_config(core::SpeMode::Parallel);
   MemoryService service(cfg);
   fill_initial(service);
-  const auto quiescent = quiescent_blobs(service);
   const unsigned target = service.shard_of(kAddr);
 
-  const auto snapshots = capture_kill_points(service, target, [&] {
+  const auto snapshots = service.capture_kill_points(target, [&] {
     service.write(kAddr, tagged_block(kAddr, 1, service.block_bytes()));
   });
   ASSERT_GT(snapshots.size(), 10u);
 
-  std::vector<std::string> blobs = quiescent;
-  blobs[target] = snapshots[snapshots.size() - 10];  // mid-encrypt
+  std::istringstream in(snapshots[snapshots.size() - 10]);  // mid-encrypt
   ServiceConfig other_key = cfg;
   other_key.key_seed = cfg.key_seed ^ 0xDEADBEEF;
-  std::istringstream in(checkpoint_from(blobs));
   MemoryService restored(other_key, in);
 
   const ShardRecovery totals = restored.recovery_report().totals();
